@@ -31,13 +31,6 @@ class ClusterObject:
         if any(k < 0 for k in self.shifts.values()):
             raise CCError("shift multiplicities must be nonnegative")
 
-    def extended_dim(self, n):
-        mv = list(self.module.dims[:n]) if self.module is not None else [0] * n
-        for i, k in self.shifts.items():
-            if i <= n:
-                mv[i - 1] -= k
-        return tuple(mv)
-
     def __repr__(self):
         return "ClusterObject(module=%r, shifts=%r)" % (self.module, self.shifts)
 

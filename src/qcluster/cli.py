@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import catalog, harness
 from . import rep as R
@@ -295,10 +296,10 @@ QUICK_BOUNDS = {"a2": dict(total=3), "a2bare": dict(total=3),
                 "a3": dict(total=3), "kronecker": dict(bound_vec=(1, 1))}
 
 
-def _run_one_job(job, budget=None, all_pairs=True):
+def _run_one_job(job, limits, all_pairs):
+    """Run one (statement, quiver, prime) unit under a fresh Budget(**limits)."""
     statement, name, p = job
-    if budget is None:
-        budget = Budget()
+    budget = Budget(**limits)
     kw = {} if all_pairs else {"bounds": QUICK_BOUNDS}
     if statement == "thm3.3":
         return harness.sweep_hall(name, p, budget, **kw)
@@ -333,21 +334,19 @@ def _run_one_job(job, budget=None, all_pairs=True):
     raise InputError("unknown statement %r" % statement)
 
 
-def run_verify(statement: str, quivers, primes, budget, jobs=1, all_pairs=True):
+def run_verify(statement: str, quivers, primes, limits, jobs=1, all_pairs=True):
+    """Reports of every unit in job order; each unit gets its own budget with
+    the given limits, so the verdicts and exit code do not depend on jobs."""
     work = _verify_jobs(statement, quivers, primes)
-    reports = []
+    run = partial(_run_one_job, limits=limits, all_pairs=all_pairs)
     if jobs > 1 and len(work) > 1:
-        # independent checks fan out across processes; output order is the
-        # deterministic job order (each worker gets a fresh default budget)
+        # independent checks fan out across processes
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(partial(_run_one_job, all_pairs=all_pairs), work):
-                reports += chunk
-        return reports
-    for job in work:
-        reports += _run_one_job(job, budget, all_pairs)
-    return reports
+            chunks = list(pool.map(run, work))
+    else:
+        chunks = map(run, work)
+    return [r for chunk in chunks for r in chunk]
 
 
 def _cone_sweep(name, p, budget):
@@ -377,7 +376,7 @@ def cmd_verify(args) -> int:
         print("warning: the affine basis statements assume a field with more "
               "than two elements; p=2 results are not covered by them",
               file=sys.stderr)
-    reports = run_verify(args.statement, quivers, primes, args.budget,
+    reports = run_verify(args.statement, quivers, primes, args.budget.limits,
                          jobs=args.jobs, all_pairs=args.all_pairs)
     return emit_reports(reports, args.json)
 

@@ -39,9 +39,6 @@ class RepFamily:
         self.lam_rule = lam_rule or (lambda p: p - 1)
         self.name = name
 
-    def has_symbol(self):
-        return any(x == "L" for mat in self.mats.values() for row in mat for x in row)
-
     def instantiate(self, p: int, lam=None) -> QuiverRep:
         if p in self.bad_primes:
             raise ValueError("prime %d is declared bad for this family" % p)

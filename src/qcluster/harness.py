@@ -6,6 +6,7 @@ specialized quantum torus.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import catalog
@@ -742,9 +743,21 @@ class ExpansionError(ValueError):
         self.residual = residual
 
 
+def _eps_leaders(x: ToricElement, eps, n):
+    """Sorted principal points of x of maximal epsilon-degree."""
+    degs = {}
+    for e in x.terms:
+        pt = e[:n]
+        degs[pt] = sum(a * b for a, b in zip(eps, pt))
+    best = max(degs.values())
+    return sorted(pt for pt, v in degs.items() if v == best)
+
+
+@lru_cache(maxsize=None)
 def _sm_leading_map(name: str, p: int, box_radius: int):
     """d -> (standard monomial, leading principal point) over a box, plus the
-    inverse map from leading points; gradedness makes the leader unique."""
+    inverse map from leading points; gradedness makes the leader unique.
+    Built once per (name, p, box_radius); callers must not mutate it."""
     entry = catalog.get(name)
     model = entry.model
     eps = entry.epsilon
@@ -755,10 +768,7 @@ def _sm_leading_map(name: str, p: int, box_radius: int):
     rng = range(-box_radius, box_radius + 1)
     for d in product(rng, repeat=model.n):
         sm = standard_monomial(name, d, p)
-        pts = {e[: model.n] for e in sm.terms}
-        degs = {pt: sum(a * b for a, b in zip(eps, pt)) for pt in pts}
-        best = max(degs.values())
-        leaders = [pt for pt, v in degs.items() if v == best]
+        leaders = _eps_leaders(sm, eps, model.n)
         if len(leaders) != 1:
             raise ExpansionError("standard monomial %s has no unique leader" % (d,))
         lead = leaders[0]
@@ -787,13 +797,7 @@ def expand_in_standard_monomials(x: ToricElement, name: str, p: int,
         steps += 1
         if steps > 10000:
             raise ExpansionError("expansion did not terminate", residual)
-        degs = {}
-        for e in residual.terms:
-            pt = e[: model.n]
-            degs[pt] = sum(a * b for a, b in zip(eps, pt))
-        best = max(degs.values())
-        leaders = sorted(pt for pt, v in degs.items() if v == best)
-        pt = leaders[0]
+        pt = _eps_leaders(residual, eps, model.n)[0]
         d = lead_to_d.get(pt)
         if d is None:
             raise ExpansionError("point %s is not a standard-monomial leader" % (pt,),
@@ -938,12 +942,7 @@ def generic_basis(name: str, p: int, box_radius: int, budget=DEFAULT_BUDGET):
         ok = True
         detail = ""
         for d, x in sorted(elems.items()):
-            degs = {}
-            for e in x.terms:
-                pt = e[: model.n]
-                degs[pt] = sum(a * b for a, b in zip(eps, pt))
-            best = max(degs.values())
-            l = sorted(pt for pt, v in degs.items() if v == best)
+            l = _eps_leaders(x, eps, model.n)
             if len(l) != 1:
                 ok = False
                 detail = "no unique leader for %s" % (d,)

@@ -172,21 +172,6 @@ def span_contains(span_rref, v, p, ncols):
     return not any(v)
 
 
-def span_vectors(basis, p):
-    """All vectors in the span of the basis rows (including zero)."""
-    if not basis:
-        yield ()
-        return
-    ncols = len(basis[0])
-    for coeffs in product(range(p), repeat=len(basis)):
-        v = [0] * ncols
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(ncols):
-                    v[j] += c * row[j]
-        yield tuple(x % p for x in v)
-
-
 def subspaces(d, k, p, budget=None):
     """All k-dimensional subspaces of F_p^d as canonical RREF row tuples."""
     if k < 0 or k > d:

@@ -54,9 +54,6 @@ class QuiverRep:
     def __hash__(self):
         return hash((self.p, self._key))
 
-    def total_dim(self):
-        return sum(self.dims)
-
     def is_zero(self):
         return not any(self.dims)
 

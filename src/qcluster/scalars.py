@@ -9,6 +9,7 @@ rational a, b.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class ExactDivisionError(ArithmeticError):
@@ -403,6 +404,13 @@ class FormalMode:
         return "formal"
 
 
+@lru_cache(maxsize=None)
+def _spec_qpow(p: int, k: int) -> SpecScalar:
+    """q^(k/2) at q = p, shared by every SpecializedMode(p); callers must not
+    mutate the result."""
+    return specialize(qpow(k), p)
+
+
 class SpecializedMode:
     """Coefficient mode tag for the specialization at a prime p."""
 
@@ -415,7 +423,7 @@ class SpecializedMode:
         self.name = "specialized(%d)" % p
 
     def qpow(self, k: int):
-        return specialize(qpow(k), self.p)
+        return _spec_qpow(self.p, k)
 
     def from_int(self, n: int):
         return SpecScalar(self.p, n, 0)

@@ -9,6 +9,8 @@ which is itself a check of the Laurent property.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import catalog
 from .ccmap import ClusterObject, cc_map
 from .quiver import ClusterModel, check_compatible
@@ -196,26 +198,40 @@ class QuantumSeed:
         return "\n".join(lines)
 
 
-def mutate_sequence(model: ClusterModel, seq, mode=FORMAL) -> QuantumSeed:
-    seed = QuantumSeed.initial(model, mode)
-    for k in seq:
-        seed = seed.mutate(k)
-    return seed
-
-
 def standard_monomial(name: str, d, p: int) -> ToricElement:
-    """Ordered product over i of X_{S_i}^{d+_i} X_{P_i[1]}^{d-_i}."""
+    """Ordered product over i of X_{S_i}^{d+_i} X_{P_i[1]}^{d-_i}.
+
+    Built from the cached prefix product of d[:-1], so each new entry of a
+    box costs one torus product.  The result is shared between callers and
+    must not be mutated.
+    """
+    n = catalog.get(name).model.n
+    return _sm_prefix(name, p, tuple(int(d[i]) for i in range(n)))
+
+
+@lru_cache(maxsize=None)
+def _sm_prefix(name: str, p: int, d) -> ToricElement:
+    if not d:
+        return catalog.get(name).model.torus(SpecializedMode(p)).one()
+    head = _sm_prefix(name, p, d[:-1])
+    if d[-1] == 0:
+        return head
+    return head * _sm_factor(name, p, len(d), d[-1])
+
+
+@lru_cache(maxsize=None)
+def _sm_factor(name: str, p: int, i: int, k: int) -> ToricElement:
+    """X_{S_i}^k for k > 0 and X_{P_i[1]}^(-k) for k < 0, each power one
+    product from the previous one."""
     entry = catalog.get(name)
     model = entry.model
-    torus = model.torus(SpecializedMode(p))
-    q = entry.principal
-    out = torus.one()
-    for i in range(1, model.n + 1):
-        di = d[i - 1]
-        if di > 0:
-            xsi = cc_map(ClusterObject(simple(q, p, i)), model, p)
-            out = out * (xsi ** di)
-        elif di < 0:
-            e = tuple(1 if j == i - 1 else 0 for j in range(model.m))
-            out = out * (torus.monomial(e) ** (-di))
-    return out
+    if k > 0:
+        base = cc_map(ClusterObject(simple(entry.principal, p, i)), model, p)
+        step = -1
+    else:
+        e = tuple(1 if j == i - 1 else 0 for j in range(model.m))
+        base = model.torus(SpecializedMode(p)).monomial(e)
+        step = 1
+    if k + step == 0:
+        return base
+    return _sm_factor(name, p, i, k + step) * base

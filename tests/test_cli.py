@@ -53,6 +53,14 @@ def test_budget_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_budget_limits_reach_every_job(capsys, jobs):
+    # the a3 unit alone enumerates more than 50 matrix tuples
+    rc = run_cli("--budget-orbits", "50", "--jobs", jobs, "verify", "thm3.3")
+    assert rc == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_mutate_prints_seed(capsys):
     rc = run_cli("mutate", "--quiver", "kronecker", "--seq", "1")
     out = capsys.readouterr().out
