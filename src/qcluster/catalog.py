@@ -79,13 +79,7 @@ def kron_regular(p, lam, n=1):
 def _cycle_elambda(q, p, lam, edge):
     """Dimension-one spaces everywhere, identity maps except lam on one edge."""
     dims = {v: 1 for v in range(1, q.m + 1)}
-    mats = {}
-    seen = {}
-    for s, t in q.arrows:
-        occ = seen.get((s, t), 0)
-        seen[(s, t)] = occ + 1
-        val = lam if (s, t) == edge else 1
-        mats[(s, t, occ)] = ((val,),)
+    mats = {key: ((lam if key[:2] == edge else 1,),) for key in q.arrow_slots()}
     return _rep(q, p, dims, mats)
 
 
@@ -267,36 +261,7 @@ def find_rigid_module(name: str, p: int, dims):
     Searches sums of indecomposable rigid summands with vanishing extensions
     in both directions; first hit in catalog order wins.
     """
-    entry = get(name)
-    dims = tuple(dims)
-    if not any(dims):
-        return R.zero_rep(entry.principal, p)
-    store = store_for(name, p)
-    cands = rigid_indecomposables(name, p, dims)
-
-    def search(remaining, start, chosen):
-        if not any(remaining):
-            return list(chosen)
-        for k in range(start, len(cands)):
-            M = cands[k]
-            if any(md > rd for md, rd in zip(M.dims, remaining)):
-                continue
-            if any(store.ext(M, X) or store.ext(X, M) for X in chosen):
-                continue
-            chosen.append(M)
-            got = search(tuple(r - m for r, m in zip(remaining, M.dims)), k, chosen)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    parts = search(dims, 0, [])
-    if parts is None:
-        return None
-    out = R.zero_rep(entry.principal, p)
-    for M in parts:
-        out = R.direct_sum(out, M)
-    return out
+    return _rigid_sum(store_for(name, p), rigid_indecomposables(name, p, dims), dims)
 
 
 def find_delta_decomposition(name: str, p: int, dims):
@@ -311,28 +276,28 @@ def find_delta_decomposition(name: str, p: int, dims):
     if any(d < 0 for d in dims):
         return None
     store = store_for(name, p)
-    tubes = [entry.tube_simples(p, t) for t in range(len(entry.tubes))]
+    tube_simples = [M for t in range(len(entry.tubes)) for M in entry.tube_simples(p, t)]
     n = 1
     while True:
         rest = tuple(d - n * dv for d, dv in zip(dims, entry.delta))
         if any(r < 0 for r in rest):
             return None
-        reg = _find_regular_rigid(store, tubes, rest)
+        reg = _rigid_sum(store, tube_simples, rest)
         if reg is not None:
             return n, reg
         n += 1
 
 
-def _find_regular_rigid(store, tubes, dims):
-    if not any(dims):
-        return R.zero_rep(store.quiver, store.p)
-    flat = [M for tube in tubes for M in tube]
+def _rigid_sum(store, cands, dims):
+    """A direct sum of candidates with the given dimension vector and no
+    extensions between summands in either direction, or None; a candidate
+    may be used more than once, and the first hit in candidate order wins."""
 
     def search(remaining, start, chosen):
         if not any(remaining):
             return list(chosen)
-        for k in range(start, len(flat)):
-            M = flat[k]
+        for k in range(start, len(cands)):
+            M = cands[k]
             if any(md > rd for md, rd in zip(M.dims, remaining)):
                 continue
             if any(store.ext(M, X) or store.ext(X, M) for X in chosen):

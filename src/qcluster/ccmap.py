@@ -182,22 +182,9 @@ def extended_reflect(quiver, p: int, obj: ClusterObject, v: int):
 
 
 def extended_coreflect(quiver, p: int, obj: ClusterObject, v: int):
-    """Extended dual reflection at a source v, mirror of extended_reflect."""
-    refl_quiver = quiver.reflect(v)
-    new_shifts = {j: k for j, k in obj.shifts.items() if j != v}
-    simple_mult_from_shift = obj.shifts.get(v, 0)  # P_v[1] -> S_v
-    module = obj.module
-    if module is None or module.is_zero():
-        refl_mod = None
-        smult = 0
-    else:
-        refl_mod, smult = R.bgp_coreflect(module, v)
-        if refl_mod.quiver != refl_quiver:
-            raise CCError("module does not live over the given quiver")
-    if smult:
-        new_shifts[v] = new_shifts.get(v, 0) + smult  # S_v -> P_v[1]
-    if simple_mult_from_shift:
-        add = R.simple(refl_quiver, p, v)
-        for _ in range(simple_mult_from_shift):
-            refl_mod = add if refl_mod is None else R.direct_sum(refl_mod, add)
-    return ClusterObject(refl_mod, new_shifts), refl_quiver
+    """Extended dual reflection functor at a source v: extended_reflect at the
+    sink v of the opposite quiver, with the module part read through op_rep."""
+    module = None if obj.module is None else R.op_rep(obj.module)
+    out, _ = extended_reflect(quiver.op(), p, ClusterObject(module, obj.shifts), v)
+    module = None if out.module is None else R.op_rep(out.module)
+    return ClusterObject(module, out.shifts), quiver.reflect(v)

@@ -14,7 +14,7 @@ from functools import partial
 
 from . import catalog, harness
 from . import rep as R
-from .ccmap import ClusterObject, cc_map, cc_map_formal, generic_variable
+from .ccmap import ClusterObject, cc_map, cc_map_formal
 from .families import RepFamily
 from .modp import Budget, BudgetExceededError
 from .quiver import IceQuiver, QuiverError
@@ -28,6 +28,11 @@ class InputError(ValueError):
     pass
 
 
+def read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def resolve_quiver(spec: str):
     """A catalog name or a quiver file path -> (name_or_None, framed quiver)."""
     if spec in catalog.ENTRIES:
@@ -37,9 +42,9 @@ def resolve_quiver(spec: str):
         cand = os.path.join(FIXTURE_ROOT, spec, "quiver.txt")
         if os.path.exists(cand):
             return spec if spec in catalog.ENTRIES else None, \
-                IceQuiver.from_text(open(cand).read())
+                IceQuiver.from_text(read_text(cand))
         raise InputError("no such quiver: %r" % spec)
-    return None, IceQuiver.from_text(open(path).read())
+    return None, IceQuiver.from_text(read_text(path))
 
 
 def resolve_rep_path(path: str, quiver_spec: str | None):
@@ -60,11 +65,14 @@ def parse_rep(text: str, quiver_dir: str | None = None, prime: int | None = None
     arrow a 'mat <src> <tgt>' line followed by its rows ('L' marks the
     family parameter).
     """
-    lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = []  # (line number, text) of the lines that carry content
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
     if not lines:
         raise InputError("empty representation file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     fields = dict(kv.split("=", 1) for kv in head[1:] if "=" in kv)
     if head[0] == "rep":
         p = int(fields.get("p", prime or 0))
@@ -73,7 +81,7 @@ def parse_rep(text: str, quiver_dir: str | None = None, prime: int | None = None
         p = None
         family = True
     else:
-        raise InputError("line 1: expected 'rep ...' or 'family ...'")
+        raise InputError("line %d: expected 'rep ...' or 'family ...'" % lines[0][0])
     qspec = fields.get("quiver")
     if qspec is None:
         raise InputError("header missing quiver=<name-or-file>")
@@ -82,51 +90,49 @@ def parse_rep(text: str, quiver_dir: str | None = None, prime: int | None = None
         else (os.path.join(quiver_dir, qspec) if quiver_dir and
               os.path.exists(os.path.join(quiver_dir, qspec)) else qspec))
     principal = framed.principal()
-    idx = 1
-    if not lines[idx].startswith("dims"):
-        raise InputError("line 2: expected 'dims ...'")
-    dims = [int(x) for x in lines[idx].split()[1:]]
+    slots = principal.arrow_slots()
+
+    def line_at(i):
+        """The i-th content line; past the last one, the end of the file."""
+        return lines[i] if i < len(lines) else (len(text.splitlines()) + 1, "")
+
+    lineno, line = line_at(1)
+    if not line.startswith("dims"):
+        raise InputError("line %d: expected 'dims ...'" % lineno)
+    dims = [int(x) for x in line.split()[1:]]
     if len(dims) != principal.n:
         raise InputError("dims has %d entries, principal part has %d"
                          % (len(dims), principal.n))
-    idx += 1
+    idx = 2
     mats = {}
     order: dict[tuple, int] = {}
-    arrow_no = 0
     while idx < len(lines):
-        parts = lines[idx].split()
+        lineno, line = lines[idx]
+        parts = line.split()
         if parts[0] != "mat" or len(parts) != 3:
-            raise InputError("line %d: expected 'mat src tgt'" % (idx + 1))
+            raise InputError("line %d: expected 'mat src tgt'" % lineno)
         s, t = int(parts[1]), int(parts[2])
         occ = order.get((s, t), 0)
         order[(s, t)] = occ + 1
+        slot = slots.get((s, t, occ))
+        if slot is None:
+            raise InputError("line %d: no arrow %d->%d (occurrence %d) in the quiver"
+                             % (lineno, s, t, occ))
         rows = []
         idx += 1
         # degenerate matrices carry no row lines
         need = dims[t - 1] if dims[s - 1] and dims[t - 1] else 0
         for _ in range(need):
-            entries = lines[idx].split()
+            lineno, line = line_at(idx)
+            entries = line.split()
             if len(entries) != dims[s - 1]:
                 raise InputError("line %d: expected %d entries"
-                                 % (idx + 1, dims[s - 1]))
+                                 % (lineno, dims[s - 1]))
             rows.append(tuple("L" if e == "L" else int(e) for e in entries))
             idx += 1
         if not need:
             rows = [()] * dims[t - 1]
-        # locate the arrow slot
-        cnt = 0
-        slot = None
-        for j, ab in enumerate(principal.arrows):
-            if ab == (s, t):
-                if cnt == occ:
-                    slot = j
-                    break
-                cnt += 1
-        if slot is None:
-            raise InputError("no arrow %d->%d (occurrence %d) in the quiver"
-                             % (s, t, occ))
         mats[slot] = tuple(rows)
-        arrow_no += 1
     if family:
         return RepFamily(principal, dims, mats), framed
     if p in (None, 0):
@@ -149,7 +155,7 @@ def print_rep(rep: R.QuiverRep, quiver_name: str) -> str:
 
 def load_rep(args, prime=None):
     path = resolve_rep_path(args.rep, args.quiver)
-    obj, framed = parse_rep(open(path).read(), os.path.dirname(path), prime)
+    obj, framed = parse_rep(read_text(path), os.path.dirname(path), prime)
     return obj, framed
 
 
@@ -215,8 +221,8 @@ def cmd_hall(args) -> int:
     store = catalog.store_for(name, args.prime, args.budget)
     pm = resolve_rep_path(args.m, name)
     pn = resolve_rep_path(args.n, name)
-    M, _ = parse_rep(open(pm).read(), os.path.dirname(pm), args.prime)
-    N, _ = parse_rep(open(pn).read(), os.path.dirname(pn), args.prime)
+    M, _ = parse_rep(read_text(pm), os.path.dirname(pm), args.prime)
+    N, _ = parse_rep(read_text(pn), os.path.dirname(pn), args.prime)
     rep = harness.verify_hall(name, store.canonical(M), store.canonical(N),
                               args.prime, args.budget)
     return emit_reports([rep], args.json)

@@ -11,11 +11,10 @@ from itertools import product
 
 from . import catalog
 from . import rep as R
-from .ccmap import (CCError, ClusterObject, cc_delta, cc_map, extended_coreflect,
-                    generic_variable)
+from .ccmap import ClusterObject, cc_map, extended_coreflect, generic_variable
 from .hall import dim_vectors_upto
 from .modp import DEFAULT_BUDGET
-from .quiver import ClusterModel, build_matrices, check_compatible, verify_lemma_bilinear
+from .quiver import ClusterModel, build_matrices, verify_lemma_bilinear
 from .scalars import SpecializedMode
 from .seeds import QuantumSeed, mutate_matrices, standard_monomial
 from .torus import ToricElement
@@ -204,28 +203,12 @@ def _hom_image_bases(f, M, N):
 
 
 def decompose_injective(I):
-    """Socle multiplicities {j: s_j} with sum s_j I_j = I (verified on dims)."""
-    q = I.quiver
-    out = {}
-    for v in range(1, q.m + 1):
-        rows = []
-        for idx, (_s, _t) in q.arrows_out_of(v):
-            for r in I.mats[idx]:
-                rows.append(r)
-        # socle at v: intersection of kernels of the outgoing maps
-        cols = I.dims[v - 1]
-        mat = [tuple(row[j] for j in range(cols)) for row in rows]
-        ker = R.modp.nullspace(mat, I.p, cols) if cols else []
-        s = len(R.modp.row_span(ker, I.p, cols)) if cols else 0
-        if s:
-            out[v] = s
-    total = [0] * q.m
-    for j, s in out.items():
-        dv = R.inj_dim_vector(q, j)
-        total = [a + s * b for a, b in zip(total, dv)]
-    if tuple(total) != I.dims:
-        raise R.RepError("module is not injective; socle decomposition fails")
-    return out
+    """Socle multiplicities {j: s_j} with sum s_j I_j = I (verified on dims):
+    the top decomposition of the dual over the opposite quiver."""
+    try:
+        return decompose_projective(R.op_rep(I))
+    except R.RepError:
+        raise R.RepError("module is not injective; socle decomposition fails") from None
 
 
 def decompose_projective(P):

@@ -76,11 +76,27 @@ class IceQuiver:
     def arrows_out_of(self, v: int):
         return [(i, st) for i, st in enumerate(self.arrows) if st[0] == v]
 
+    def arrow_slots(self):
+        """(src, tgt, occurrence) -> arrow index; the occurrence of an arrow
+        counts the parallel arrows before it."""
+        return {(s, t, self.arrows[:idx].count((s, t))): idx
+                for idx, (s, t) in enumerate(self.arrows)}
+
+    def _check_vertex(self, v: int):
+        if not 1 <= v <= self.m:
+            raise QuiverError("vertex %d out of range 1..%d" % (v, self.m))
+
     def is_sink(self, v: int) -> bool:
+        self._check_vertex(v)
         return not any(s == v for s, _ in self.arrows)
 
     def is_source(self, v: int) -> bool:
+        self._check_vertex(v)
         return not any(t == v for _, t in self.arrows)
+
+    def op(self) -> "IceQuiver":
+        """The opposite quiver; its arrow idx is arrow idx reversed."""
+        return IceQuiver(self.m, self.n, [(t, s) for s, t in self.arrows])
 
     def principal(self) -> "IceQuiver":
         arr = [(s, t) for s, t in self.arrows if s <= self.n and t <= self.n]

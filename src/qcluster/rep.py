@@ -68,13 +68,8 @@ def zero_rep(quiver, p):
 def from_dict(quiver, p, dims_by_vertex, mats_by_arrow):
     """Build a rep from vertex->dim and (src,tgt,occurrence)->matrix dicts."""
     dims = [dims_by_vertex.get(v, 0) for v in range(1, quiver.m + 1)]
-    mats = {}
-    seen: dict[tuple, int] = {}
-    for idx, (s, t) in enumerate(quiver.arrows):
-        occ = seen.get((s, t), 0)
-        seen[(s, t)] = occ + 1
-        mat = mats_by_arrow.get((s, t, occ), mats_by_arrow.get((s, t)))
-        mats[idx] = mat
+    mats = {idx: mats_by_arrow.get(key, mats_by_arrow.get(key[:2]))
+            for key, idx in quiver.arrow_slots().items()}
     return QuiverRep(quiver, p, dims, mats)
 
 
@@ -102,29 +97,9 @@ def extend_to(rep: QuiverRep, framed: IceQuiver) -> QuiverRep:
     if rep.quiver != framed.principal():
         raise RepError("representation does not match the principal part")
     dims = rep.dims + (0,) * (framed.m - rep.quiver.m)
-    mats = {}
-    principal_arrows = [i for i, (s, t) in enumerate(framed.arrows)
-                        if s <= framed.n and t <= framed.n]
-    rep_arrows = list(range(len(rep.quiver.arrows)))
-    if len(principal_arrows) != len(rep_arrows):
-        raise RepError("arrow mismatch between quiver and framing")
-    # both lists enumerate the same arrows; match by (src,tgt,occurrence)
-    def occ_list(quiver, idxs):
-        seen = {}
-        out = []
-        for i in idxs:
-            s, t = quiver.arrows[i]
-            k = seen.get((s, t), 0)
-            seen[(s, t)] = k + 1
-            out.append(((s, t, k), i))
-        return dict(out)
-
-    fmap = occ_list(framed, principal_arrows)
-    rmap = occ_list(rep.quiver, rep_arrows)
-    if set(fmap) != set(rmap):
-        raise RepError("principal arrows disagree with the framing")
-    for key, fi in fmap.items():
-        mats[fi] = rep.mats[rmap[key]]
+    slots = framed.arrow_slots()
+    mats = {slots[key]: rep.mats[idx]
+            for key, idx in rep.quiver.arrow_slots().items()}
     return QuiverRep(framed, rep.p, dims, mats)
 
 
@@ -136,22 +111,8 @@ def restrict_principal(rep: QuiverRep) -> QuiverRep:
     if any(rep.dims[i] for i in range(q.n, q.m)):
         raise RepError("representation has frozen support")
     pr = q.principal()
-    principal_arrows = [i for i, (s, t) in enumerate(q.arrows)
-                        if s <= q.n and t <= q.n]
-    seen = {}
-    mats = {}
-    for i in principal_arrows:
-        s, t = q.arrows[i]
-        k = seen.get((s, t), 0)
-        seen[(s, t)] = k + 1
-        # find matching arrow in principal quiver
-        cnt = 0
-        for j, (ps, pt) in enumerate(pr.arrows):
-            if (ps, pt) == (s, t):
-                if cnt == k:
-                    mats[j] = rep.mats[i]
-                    break
-                cnt += 1
+    slots = q.arrow_slots()
+    mats = {j: rep.mats[slots[key]] for key, j in pr.arrow_slots().items()}
     return QuiverRep(pr, rep.p, rep.dims[:q.n], mats)
 
 
@@ -505,41 +466,6 @@ class ProjData:
         return QuiverRep(q, self.p, self.dims(), mats)
 
 
-class InjData:
-    """A direct sum of indecomposable injectives, with a labelled basis."""
-
-    def __init__(self, quiver, p, socs):
-        self.quiver = quiver
-        self.p = p
-        self.socs = tuple(socs)  # vertex index per cogenerator
-        paths = all_paths(quiver)
-        self.basis = {v: [] for v in range(1, quiver.m + 1)}  # (cogen#, path v->soc)
-        for g, j in enumerate(self.socs):
-            for src, tgt, seq in paths:
-                if tgt == j:
-                    self.basis[src].append((g, seq))
-        self.index = {v: {lab: k for k, lab in enumerate(self.basis[v])}
-                      for v in self.basis}
-
-    def dims(self):
-        return tuple(len(self.basis[v]) for v in range(1, self.quiver.m + 1))
-
-    def rep(self) -> QuiverRep:
-        q = self.quiver
-        mats = {}
-        for idx, (s, t) in enumerate(q.arrows):
-            rows = len(self.basis[t])
-            cols = len(self.basis[s])
-            mat = [[0] * cols for _ in range(rows)]
-            for j, (g, seq) in enumerate(self.basis[s]):
-                # the arrow strips itself from the front of a path s -> soc
-                if seq and seq[0] == idx:
-                    lab = (g, seq[1:])
-                    mat[self.index[t][lab]][j] = 1
-            mats[idx] = tuple(tuple(r) for r in mat)
-        return QuiverRep(q, self.p, self.dims(), mats)
-
-
 def simple(quiver, p, i) -> QuiverRep:
     dims = tuple(1 if v == i else 0 for v in range(1, quiver.m + 1))
     return QuiverRep(quiver, p, dims, {})
@@ -550,16 +476,12 @@ def projective(quiver, p, i) -> QuiverRep:
 
 
 def injective(quiver, p, j) -> QuiverRep:
-    return InjData(quiver, p, [j]).rep()
+    """The injective at j: the dual of the projective at j over quiver.op()."""
+    return op_rep(projective(quiver.op(), p, j))
 
 
 def proj_dim_vector(quiver, i):
     return tuple(sum(1 for src, tgt, _ in all_paths(quiver) if src == i and tgt == v)
-                 for v in range(1, quiver.m + 1))
-
-
-def inj_dim_vector(quiver, j):
-    return tuple(sum(1 for src, tgt, _ in all_paths(quiver) if tgt == j and src == v)
                  for v in range(1, quiver.m + 1))
 
 
@@ -667,33 +589,36 @@ def min_proj_presentation(M: QuiverRep):
 
 
 def nakayama_kernel(p1: ProjData, p0: ProjData, h):
-    """Kernel of nu(h): I(p1) -> I(p0) as a subrep of I(p1)."""
+    """Kernel of nu(h): I(p1) -> I(p0) as a subrep of I(p1).
+
+    I(P) is the dual of the projective with P's generators over the opposite
+    quiver, so its basis labels at v are op-paths gens[g] -> v, that is,
+    reversed paths v -> gens[g].
+    """
     q = p1.quiver
     p = p1.p
-    i1 = InjData(q, p, p1.gens)
-    i0 = InjData(q, p, p0.gens)
+    qop = q.op()
+    i1 = ProjData(qop, p, p1.gens)
+    i0 = ProjData(qop, p, p0.gens)
     mats = {}
     for v in range(1, q.m + 1):
         rows = len(i0.basis[v])
         cols = len(i1.basis[v])
         mat = [[0] * cols for _ in range(rows)]
-        for j, (g1, seq) in enumerate(i1.basis[v]):   # path v -> gens1[g1]
+        for j, (g1, seq) in enumerate(i1.basis[v]):   # op-path gens1[g1] -> v
             for (gg1, g0), entry in h.items():
                 if gg1 != g1:
                     continue
                 for rho, coeff in entry.items():
-                    # nu strips rho (a path gens0[g0] -> gens1[g1]) off the end
-                    lr = len(rho)
-                    if lr == 0:
-                        lab = (g0, seq)
-                        if lab in i0.index[v]:
-                            mat[i0.index[v][lab]][j] = (mat[i0.index[v][lab]][j] + coeff) % p
-                    elif lr <= len(seq) and seq[len(seq) - lr:] == rho:
-                        lab = (g0, seq[: len(seq) - lr])
+                    # nu strips rho (a path gens0[g0] -> gens1[g1]) off the
+                    # end of the path, so rho reversed off the front of seq
+                    front = rho[::-1]
+                    if seq[:len(front)] == front:
+                        lab = (g0, seq[len(front):])
                         if lab in i0.index[v]:
                             mat[i0.index[v][lab]][j] = (mat[i0.index[v][lab]][j] + coeff) % p
         mats[v] = tuple(tuple(r) for r in mat)
-    i1rep = i1.rep()
+    i1rep = op_rep(i1.rep())
     kernel_bases = []
     for v in range(1, q.m + 1):
         ker = modp.nullspace(mats[v], p, len(i1.basis[v])) if len(i1.basis[v]) else []
@@ -720,26 +645,12 @@ def tau(M: QuiverRep) -> QuiverRep:
 def op_rep(M: QuiverRep) -> QuiverRep:
     """The dual representation over the opposite quiver (matrices transposed)."""
     q = M.quiver
-    opp = IceQuiver(q.m, q.n, [(t, s) for s, t in q.arrows])
     mats = {}
     for idx, (s, t) in enumerate(q.arrows):
-        target = (t, s)
-        # find the matching arrow slot in opp (same multiset ordering)
-        seen = 0
-        for k, (a, b) in enumerate(q.arrows[:idx]):
-            if (b, a) == target:
-                seen += 1
-        cnt = 0
         old = M.mats[idx]
         rows, cols = M.dims[s - 1], M.dims[t - 1]  # transposed shape
-        trans = tuple(tuple(old[c][r] for c in range(cols)) for r in range(rows))
-        for j, ab in enumerate(opp.arrows):
-            if ab == target:
-                if cnt == seen:
-                    mats[j] = trans
-                    break
-                cnt += 1
-    return QuiverRep(opp, M.p, M.dims, mats)
+        mats[idx] = tuple(tuple(old[c][r] for c in range(cols)) for r in range(rows))
+    return QuiverRep(q.op(), M.p, M.dims, mats)
 
 
 def tau_inverse(M: QuiverRep) -> QuiverRep:
@@ -751,9 +662,8 @@ def tau_inverse(M: QuiverRep) -> QuiverRep:
     except ProjectiveSummandError as exc:
         raise ProjectiveSummandError(
             "module has injective summand(s): %s" % exc) from exc
-    # rebuild over the original quiver object (op of op matches arrow order)
-    return QuiverRep(M.quiver, M.p, out.dims,
-                     {i: out.mats[i] for i in out.mats})
+    # rebuild over the original quiver object (op of op keeps arrow order)
+    return QuiverRep(M.quiver, M.p, out.dims, out.mats)
 
 
 def split_complement(M: QuiverRep, X: QuiverRep, budget=DEFAULT_BUDGET):
@@ -899,65 +809,15 @@ def bgp_reflect(M: QuiverRep, v: int):
 
 
 def bgp_coreflect(M: QuiverRep, v: int):
-    """Dual reflection functor at a source v; returns (rep over reflected
-    quiver, multiplicity of the simple at v split off).
+    """Dual reflection functor at a source v; returns (rep over
+    M.quiver.reflect(v), multiplicity of the simple at v split off).
 
-    The space at v becomes the cokernel of the combined map out of v, and
-    the reversed arrows carry component inclusion followed by projection.
+    Computed as the sink reflection of the dual over the opposite quiver, so
+    the space at v is the dual of the cokernel of the combined map out of v.
     """
     q = M.quiver
     if not q.is_source(v):
         raise QuiverError("vertex %d is not a source" % v)
-    p = M.p
-    refl = q.reflect(v)
-    outgoing = q.arrows_out_of(v)
-    tgt_dims = [M.dims[t - 1] for _, (_s, t) in outgoing]
-    total = sum(tgt_dims)
-    # combined map: M_v -> (+)_alpha M_tgt, stacked vertically
-    stacked = []
-    offsets = {}
-    off = 0
-    for (idx, (_s, t)), d in zip(outgoing, tgt_dims):
-        offsets[idx] = off
-        off += d
-        for row in M.mats[idx]:
-            stacked.append(tuple(row))
-    # simple multiplicity = dim of the kernel of the combined map
-    simple_mult = (M.dims[v - 1] - modp.rank(stacked, p)
-                   if M.dims[v - 1] else 0)
-    image_rows = []
-    for j in range(M.dims[v - 1]):
-        basis_vec = tuple(1 if i == j else 0 for i in range(M.dims[v - 1]))
-        image_rows.append(modp.mat_vec(stacked, basis_vec, p) if stacked
-                          else (0,) * total)
-    img = modp.row_span(image_rows, p, total)
-    rr, piv = (modp.rref(img, p, total) if img else ((), []))
-    comp = [c for c in range(total) if c not in piv]
-
-    def project(vec):
-        vec = list(vec)
-        for row, pc in zip(rr, piv):
-            f = vec[pc] % p
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        return tuple(vec[c] for c in comp)
-
-    new_dims = list(M.dims)
-    new_dims[v - 1] = len(comp)
-    mats = {}
-    for jdx, (s, t) in enumerate(refl.arrows):
-        orig = q.arrows[jdx]
-        if orig == (s, t):
-            mats[jdx] = M.mats[jdx]
-        else:
-            # reversed arrow: old target -> v; inclusion then projection
-            assert t == v and orig == (v, s)
-            d = M.dims[s - 1]
-            o = offsets[jdx]
-            cols = []
-            for j in range(d):
-                vec = [0] * total
-                vec[o + j] = 1
-                cols.append(project(vec))
-            mats[jdx] = modp.transpose(cols) if cols else modp.zeros(len(comp), 0)
-    return QuiverRep(refl, p, new_dims, mats), simple_mult
+    out, simple_mult = bgp_reflect(op_rep(M), v)
+    out = op_rep(out)
+    return QuiverRep(q.reflect(v), M.p, out.dims, out.mats), simple_mult

@@ -83,9 +83,41 @@ def test_reflect_command(capsys):
     assert "dims 1 1" in out
 
 
+@pytest.mark.parametrize("vertex", ["0", "3"])
+def test_reflect_vertex_out_of_range(capsys, vertex):
+    rc = run_cli("reflect", "--quiver", "a2", "--rep", "s2.rep", "--vertex", vertex)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "vertex %s out of range 1..2" % vertex in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rep p=3 quiver=a2\n", "line 2: expected 'dims ...'"),
+    ("rep p=3 quiver=a2\ndims 1 1\nmat 2 1\n", "line 4: expected 1 entries"),
+    ("rep p=3 quiver=a2\ndims 1 1\nmat 9 1\n1\n", "line 3: no arrow 9->1"),
+])
+def test_malformed_rep_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.rep"
+    path.write_text(text)
+    rc = run_cli("tau", "--quiver", "a2", "--rep", str(path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_rep_files_are_closed():
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-m", "qcluster.cli", "ccmap", "--quiver", "kronecker",
+                           "--rep", "r2.rep"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "ResourceWarning" not in proc.stderr
+
+
 def test_rep_parse_roundtrip():
     path = os.path.join(FIX, "kronecker", "r1.rep")
-    text = open(path).read()
+    text = cli.read_text(path)
     rep, framed = cli.parse_rep(text, os.path.dirname(path))
     assert rep.dims == (1, 1)
     assert framed.m == 4
@@ -96,7 +128,7 @@ def test_rep_parse_roundtrip():
 
 def test_family_parse():
     path = os.path.join(FIX, "kronecker", "r1.family")
-    fam, _framed = cli.parse_rep(open(path).read(), os.path.dirname(path))
+    fam, _framed = cli.parse_rep(cli.read_text(path), os.path.dirname(path))
     from qcluster.families import RepFamily
     assert isinstance(fam, RepFamily)
     assert fam.instantiate(5).mats[1] == ((4,),)
@@ -114,7 +146,7 @@ def test_quiver_roundtrip_fixture_files():
     from qcluster import catalog
     for name in catalog.NAMES:
         path = os.path.join(FIX, name, "quiver.txt")
-        q = IceQuiver.from_text(open(path).read())
+        q = IceQuiver.from_text(cli.read_text(path))
         assert q == catalog.get(name).framed
         assert IceQuiver.from_text(q.to_text()) == q
 

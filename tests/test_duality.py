@@ -20,8 +20,7 @@ def _fixture_reps():
             continue
         for f in sorted(x for x in os.listdir(d) if x.endswith(".rep")):
             path = os.path.join(d, f)
-            with open(path) as fh:
-                rep, _framed = cli.parse_rep(fh.read(), d)
+            rep, _framed = cli.parse_rep(cli.read_text(path), d)
             yield name, path, rep
 
 
