@@ -12,10 +12,57 @@ against the identity sum_E eps^E_{M,N} = |Ext^1(M,N)|.
 
 from __future__ import annotations
 
+from array import array
 from itertools import product
 
+from . import modp
 from . import rep as R
 from .modp import DEFAULT_BUDGET, Budget
+
+
+def _primitive_root(p):
+    return next(g for g in range(1, p)
+                if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+
+
+def _gl_generators(n, p):
+    """(g, g^-1) pairs generating GL_n(F_p): diag(g,1,...,1) for a primitive
+    root g, and for n >= 2 the transvection I+E_12 and the cyclic
+    permutation matrix.  Conjugating I+E_12 by the cycle gives every
+    I+E_{i,i+1} and I+E_{n,1}; their commutators give every elementary
+    transvection, hence SL_n, and the diagonal one reaches every
+    determinant."""
+    def identity_but(i, j, x):
+        return tuple(tuple(x if (r, c) == (i, j) else int(r == c)
+                           for c in range(n)) for r in range(n))
+    gens = []
+    g = _primitive_root(p)
+    if g != 1:
+        gens.append((identity_but(0, 0, g), identity_but(0, 0, modp.inv(g, p))))
+    if n >= 2:
+        gens.append((identity_but(0, 1, 1), identity_but(0, 1, p - 1)))
+        cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n))
+                      for i in range(n))
+        gens.append((cycle, modp.transpose(cycle)))
+    return gens
+
+
+def _block_table(rows, cols, left, right, p):
+    """X -> left X right as a permutation of the base-p indices of the
+    row-major rows x cols matrices X."""
+    table = []
+    for values in product(range(p), repeat=rows * cols):
+        X = tuple(values[i * cols:(i + 1) * cols] for i in range(rows))
+        if left is not None:
+            X = modp.mat_mul(left, X, p)
+        if right is not None:
+            X = modp.mat_mul(X, right, p)
+        index = 0
+        for row in X:
+            for x in row:
+                index = index * p + x
+        table.append(index)
+    return table
 
 
 class ClassStore:
@@ -28,7 +75,8 @@ class ClassStore:
         self.budget = budget
         self.max_entries = max_entries if p <= 3 else max_entries_p5
         self._classes: dict[tuple, list] = {}
-        self._classify: dict[tuple, int] = {}
+        self._labels: dict[tuple, array] = {}
+        self._orbit: dict[tuple, int] = {}
         self._aut: dict[tuple, int] = {}
         self._hom: dict[tuple, int] = {}
         self._ext: dict[tuple, int] = {}
@@ -41,9 +89,51 @@ class ClassStore:
         q = self.quiver
         return sum(dims[s - 1] * dims[t - 1] for s, t in q.arrows)
 
+    def group_order(self, dims):
+        """|G_d| for G_d = prod_v GL_{d_v}(F_p), with
+        |GL_n(F_p)| = prod_{i<n} (p^n - p^i)."""
+        out = 1
+        for d in dims:
+            for i in range(d):
+                out *= self.p ** d - self.p ** i
+        return out
+
+    def _orbit_moves(self, dims):
+        """Per generator of G_d, the (weight, p^block size, table) of each
+        arrow block it moves; a tuple's index is sum(block index * weight)."""
+        q = self.quiver
+        p = self.p
+        sizes = [dims[s - 1] * dims[t - 1] for s, t in q.arrows]
+        weights = []
+        rest = sum(sizes)
+        for size in sizes:
+            rest -= size
+            weights.append(p ** rest)
+        moves = []
+        for v in range(1, q.m + 1):
+            for g, g_inv in _gl_generators(dims[v - 1], p):
+                acts = []
+                for (s, t), size, weight in zip(q.arrows, sizes, weights):
+                    if size and t == v:
+                        table = _block_table(dims[t - 1], dims[s - 1], g, None, p)
+                    elif size and s == v:
+                        table = _block_table(dims[t - 1], dims[s - 1], None, g_inv, p)
+                    else:
+                        continue
+                    acts.append((weight, p ** size, table))
+                if acts:
+                    moves.append(acts)
+        return moves
+
     def iso_classes(self, dims):
         """Representatives of all iso classes with the given dimension vector,
-        in deterministic enumeration order."""
+        in deterministic enumeration order.
+
+        The matrix tuples are walked in product order, so each tuple's
+        position is its base-p index.  An unlabelled tuple is the first of
+        its G_d-orbit; it becomes the next representative and its whole
+        orbit, closed under the generators of each GL_{d_v}(F_p) acting by
+        M_a -> g_t(a) M_a g_s(a)^-1, gets its label."""
         dims = tuple(dims)
         if dims in self._classes:
             return self._classes[dims]
@@ -55,10 +145,14 @@ class ClassStore:
                 "orbit enumeration over %d matrix entries exceeds the budget "
                 "(%d at p=%d)" % (entries, self.max_entries, p))
         shapes = [(dims[t - 1], dims[s - 1]) for s, t in q.arrows]
+        moves = self._orbit_moves(dims)
+        labels = array("I", [0]) * p ** entries   # class number + 1; 0 = unseen
         reps = []
-        buckets: dict[tuple, list] = {}
-        for values in product(range(p), repeat=entries):
+        orbits = []
+        for index, values in enumerate(product(range(p), repeat=entries)):
             self.budget.tick("matrix_tuples")
+            if labels[index]:
+                continue
             mats = {}
             pos = 0
             for idx, (rws, cls_) in enumerate(shapes):
@@ -66,40 +160,41 @@ class ClassStore:
                             for i in range(rws))
                 pos += rws * cls_
                 mats[idx] = mat
-            cand = R.QuiverRep(q, p, dims, mats)
-            sig = self._signature(cand)
-            found = None
-            for known in buckets.get(sig, ()):
-                if R.iso_test(cand, known, self.budget):
-                    found = known
-                    break
-            if found is None:
-                buckets.setdefault(sig, []).append(cand)
-                reps.append(cand)
+            reps.append(R.QuiverRep(q, p, dims, mats))
+            label = len(reps)
+            labels[index] = label
+            stack = [index]
+            size = 1
+            while stack:
+                cur = stack.pop()
+                for acts in moves:
+                    nxt = cur
+                    for weight, radix, table in acts:
+                        block = cur // weight % radix
+                        nxt += (table[block] - block) * weight
+                    if not labels[nxt]:
+                        labels[nxt] = label
+                        size += 1
+                        stack.append(nxt)
+            orbits.append(size)
         self._classes[dims] = reps
-        for i, rp in enumerate(reps):
-            self._classify[rp.key()] = i
+        self._labels[dims] = labels
+        for rp, size in zip(reps, orbits):
+            self._orbit[rp.key()] = size
         return reps
-
-    def _signature(self, M):
-        ranks = tuple(sorted((idx, len(R.modp.rref(mat, self.p)[0]))
-                             for idx, mat in M.mats.items()))
-        rad = tuple(len(b) for b in R.radical_bases(M))
-        end = R.hom_dim(M, M)
-        return (ranks, rad, end)
 
     def classify(self, M) -> int:
         """Index of M's class inside iso_classes(M.dims)."""
-        key = M.key()
-        if key in self._classify:
-            return self._classify[key]
-        classes = self.iso_classes(M.dims)
-        sig = self._signature(M)
-        for i, known in enumerate(classes):
-            if self._signature(known) == sig and R.iso_test(M, known, self.budget):
-                self._classify[key] = i
-                return i
-        raise R.RepError("classification failed; enumeration incomplete?")
+        if M.quiver != self.quiver or M.p != self.p:
+            raise R.RepError("classify needs a representation over this "
+                             "store's quiver and prime")
+        self.iso_classes(M.dims)
+        index = 0
+        for idx in range(len(self.quiver.arrows)):
+            for row in M.mats[idx]:
+                for x in row:
+                    index = index * self.p + x
+        return self._labels[M.dims][index] - 1
 
     def canonical(self, M):
         return self.iso_classes(M.dims)[self.classify(M)]
@@ -107,9 +202,19 @@ class ClassStore:
     # -- counts -----------------------------------------------------------
 
     def aut(self, M) -> int:
+        """|Aut M|; for a class representative, certified by the
+        orbit-stabiliser identity |orbit| * |Aut M| = |G_d|."""
         key = M.key()
         if key not in self._aut:
-            self._aut[key] = R.aut_count(M, self.budget)
+            count = R.aut_count(M, self.budget)
+            orbit = (self._orbit.get(key)
+                     if M.quiver == self.quiver and M.p == self.p else None)
+            if orbit is not None and orbit * count != self.group_order(M.dims):
+                raise R.RepError(
+                    "orbit-stabiliser check failed for dims %s: |orbit| %d * "
+                    "|Aut| %d != |G_d| %d" % (list(M.dims), orbit, count,
+                                              self.group_order(M.dims)))
+            self._aut[key] = count
         return self._aut[key]
 
     def hom(self, M, N) -> int:

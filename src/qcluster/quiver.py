@@ -115,12 +115,14 @@ class IceQuiver:
             A[s - 1][t - 1] += 1
         return tuple(tuple(r) for r in A)
 
+    # arrows compare in their listed order: a representation's matrices are
+    # indexed by arrow position
     def __eq__(self, other):
         return (isinstance(other, IceQuiver) and self.m == other.m
-                and self.n == other.n and sorted(self.arrows) == sorted(other.arrows))
+                and self.n == other.n and self.arrows == other.arrows)
 
     def __hash__(self):
-        return hash((self.m, self.n, tuple(sorted(self.arrows))))
+        return hash((self.m, self.n, self.arrows))
 
     def to_text(self) -> str:
         lines = ["vertices %d %d" % (self.m, self.n)]

@@ -168,3 +168,16 @@ def test_determinism_byte_identical():
                            capture_output=True, text=True)
     assert proc1.stdout == proc2.stdout
     assert proc1.returncode == proc2.returncode == 0
+
+
+def test_hall_rep_over_reordered_quiver_exits_2(tmp_path, capsys):
+    # the a3 framed quiver with its two principal arrows swapped
+    (tmp_path / "quiver.txt").write_text(
+        "vertices 6 3\narrow 2 3\narrow 2 1\narrow 1 4\narrow 2 5\narrow 3 6\n")
+    path = tmp_path / "m.rep"
+    path.write_text("rep p=3 quiver=quiver.txt\ndims 1 1 0\nmat 2 1\n1\nmat 2 3\n")
+    rc = run_cli("hall", "--quiver", "a3", "--m", str(path), "--n", "s3.rep")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: classify needs a representation over this store's quiver" in err
+    assert "Traceback" not in err

@@ -142,3 +142,12 @@ def test_quiver_text_roundtrip():
     assert parsed == IceQuiver(2, 2, [(2, 1)])
     with pytest.raises(QuiverError):
         IceQuiver.from_text("vertices 2 2\narrow 1\n")
+
+
+def test_equality_follows_arrow_order():
+    # a representation's matrices are indexed by arrow position
+    q1 = IceQuiver(3, 3, [(2, 1), (3, 2)])
+    q2 = IceQuiver(3, 3, [(3, 2), (2, 1)])
+    assert q1 != q2
+    assert q1 == IceQuiver(3, 3, [(2, 1), (3, 2)])
+    assert hash(q1) == hash(IceQuiver(3, 3, [(2, 1), (3, 2)]))

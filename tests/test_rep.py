@@ -229,3 +229,14 @@ def test_zero_rep_and_extend():
     ext = extend_to(kron_reg(3, 1), KRON_FRAMED)
     assert ext.dims == (1, 1, 0, 0)
     assert hom_dim(ext, ext) == 1
+
+
+def test_iso_test_across_arrow_orders():
+    # the module S2 -> S1, written over two orderings of the same arrows
+    q1 = IceQuiver(3, 3, [(2, 1), (3, 2)])
+    q2 = IceQuiver(3, 3, [(3, 2), (2, 1)])
+    m1 = from_dict(q1, 3, {1: 1, 2: 1}, {(2, 1, 0): ((1,),)})
+    m2 = from_dict(q2, 3, {1: 1, 2: 1}, {(2, 1, 0): ((1,),)})
+    assert m1.mats != m2.mats
+    assert not iso_test(m1, m2)
+    assert iso_test(m1, m1)
