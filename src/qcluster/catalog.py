@@ -8,12 +8,13 @@ explicit representations, cross-checked by the AR translate in the tests.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
+from . import modp
 from . import rep as R
 from .families import RepFamily
-from .hall import ClassStore
-from .modp import DEFAULT_BUDGET
+from .hall import ClassStore, dim_vectors_upto
 from .quiver import ClusterModel, IceQuiver, standard_framing
 
 PAPER_KRONECKER_LAM = (
@@ -54,14 +55,10 @@ class CatalogEntry:
         return self._elambda(self.principal, p, lam)
 
 
-def _rep(quiver, p, dims, mats):
-    return R.from_dict(quiver, p, dims, mats)
-
-
 def _kron_elambda(q, p, lam):
     if lam == "inf":
-        return _rep(q, p, {1: 1, 2: 1}, {(2, 1, 0): ((0,),), (2, 1, 1): ((1,),)})
-    return _rep(q, p, {1: 1, 2: 1}, {(2, 1, 0): ((1,),), (2, 1, 1): ((lam,),)})
+        return R.from_dict(q, p, {1: 1, 2: 1}, {(2, 1, 0): ((0,),), (2, 1, 1): ((1,),)})
+    return R.from_dict(q, p, {1: 1, 2: 1}, {(2, 1, 0): ((1,),), (2, 1, 1): ((lam,),)})
 
 
 def kron_regular(p, lam, n=1):
@@ -70,17 +67,17 @@ def kron_regular(p, lam, n=1):
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if lam == "inf":
         nilp = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
-        return _rep(q, p, {1: n, 2: n}, {(2, 1, 0): nilp, (2, 1, 1): ident})
+        return R.from_dict(q, p, {1: n, 2: n}, {(2, 1, 0): nilp, (2, 1, 1): ident})
     jord = tuple(tuple((lam % p) if i == j else (1 if j == i + 1 else 0)
                        for j in range(n)) for i in range(n))
-    return _rep(q, p, {1: n, 2: n}, {(2, 1, 0): ident, (2, 1, 1): jord})
+    return R.from_dict(q, p, {1: n, 2: n}, {(2, 1, 0): ident, (2, 1, 1): jord})
 
 
 def _cycle_elambda(q, p, lam, edge):
     """Dimension-one spaces everywhere, identity maps except lam on one edge."""
     dims = {v: 1 for v in range(1, q.m + 1)}
     mats = {key: ((lam if key[:2] == edge else 1,),) for key in q.arrow_slots()}
-    return _rep(q, p, dims, mats)
+    return R.from_dict(q, p, dims, mats)
 
 
 def _dtilde4_elambda(q, p, lam):
@@ -91,7 +88,7 @@ def _dtilde4_elambda(q, p, lam):
         (3, 4): ((1, 1),),
         (3, 5): ((1, lam),),
     }
-    return _rep(q, p, dims, mats)
+    return R.from_dict(q, p, dims, mats)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +119,7 @@ def _build_entries():
         "atilde21", at21, delta=(1, 1, 1),
         tubes=[[
             lambda p: R.simple(at21, p, 2),
-            lambda p: _rep(at21, p, {1: 1, 3: 1}, {(3, 1): ((1,),)}),
+            lambda p: R.from_dict(at21, p, {1: 1, 3: 1}, {(3, 1): ((1,),)}),
         ]],
         epsilon=(-3, 1, 2), nonhomog_count=1,
         elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (3, 1)))
@@ -132,7 +129,7 @@ def _build_entries():
         "atilde12", at12, delta=(1, 1, 1),
         tubes=[[
             lambda p: R.simple(at12, p, 3),
-            lambda p: _rep(at12, p, {1: 1, 2: 1}, {(2, 1): ((1,),)}),
+            lambda p: R.from_dict(at12, p, {1: 1, 2: 1}, {(2, 1): ((1,),)}),
         ]],
         epsilon=(-2, 1, 1), nonhomog_count=1,
         elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (3, 1)))
@@ -143,7 +140,7 @@ def _build_entries():
         tubes=[[
             lambda p: R.simple(at31, p, 2),
             lambda p: R.simple(at31, p, 3),
-            lambda p: _rep(at31, p, {1: 1, 4: 1}, {(4, 1): ((1,),)}),
+            lambda p: R.from_dict(at31, p, {1: 1, 4: 1}, {(4, 1): ((1,),)}),
         ]],
         epsilon=(-3, 1, 2, 3), nonhomog_count=1,
         elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (4, 1)))
@@ -154,13 +151,13 @@ def _build_entries():
         tubes=[
             [
                 lambda p: R.simple(at22, p, 4),
-                lambda p: _rep(at22, p, {1: 1, 2: 1, 3: 1},
-                               {(2, 1): ((1,),), (3, 2): ((1,),)}),
+                lambda p: R.from_dict(at22, p, {1: 1, 2: 1, 3: 1},
+                                      {(2, 1): ((1,),), (3, 2): ((1,),)}),
             ],
             [
                 lambda p: R.simple(at22, p, 2),
-                lambda p: _rep(at22, p, {1: 1, 3: 1, 4: 1},
-                               {(4, 1): ((1,),), (3, 4): ((1,),)}),
+                lambda p: R.from_dict(at22, p, {1: 1, 3: 1, 4: 1},
+                                      {(4, 1): ((1,),), (3, 4): ((1,),)}),
             ],
         ],
         epsilon=None, nonhomog_count=2,
@@ -171,9 +168,9 @@ def _build_entries():
         "dtilde4", dt4, delta=(1, 1, 2, 1, 1),
         tubes=[[
             lambda p: R.simple(dt4, p, 3),
-            lambda p: _rep(dt4, p, {v: 1 for v in range(1, 6)},
-                           {(1, 3): ((1,),), (2, 3): ((1,),),
-                            (3, 4): ((1,),), (3, 5): ((1,),)}),
+            lambda p: R.from_dict(dt4, p, {v: 1 for v in range(1, 6)},
+                                  {(1, 3): ((1,),), (2, 3): ((1,),),
+                                   (3, 4): ((1,),), (3, 5): ((1,),)}),
         ]],
         epsilon=None, nonhomog_count=3,
         elambda=lambda q, p, lam: _dtilde4_elambda(q, p, lam))
@@ -191,17 +188,18 @@ def get(name: str) -> CatalogEntry:
     return ENTRIES[name]
 
 
-_STORES: dict[tuple, ClassStore] = {}
+# active meter -> {(name, p): store}; a store is freed with its meter
+_STORES = weakref.WeakKeyDictionary()
 
 
-def store_for(name: str, p: int, budget=DEFAULT_BUDGET) -> ClassStore:
-    key = (name, p, id(budget))
-    if key not in _STORES:
-        _STORES[key] = ClassStore(get(name).principal, p, budget)
-    return _STORES[key]
+def store_for(name: str, p: int) -> ClassStore:
+    """The class store of (name, p) that belongs to the active meter."""
+    stores = _STORES.setdefault(modp.meter(), {})
+    if (name, p) not in stores:
+        stores[name, p] = ClassStore(get(name).principal, p)
+    return stores[name, p]
 
 
-@lru_cache(maxsize=None)
 def homogeneous_points(name: str, p: int):
     """All iso classes of regular simples of dimension delta that are fixed by
     the AR translate and have a one-dimensional endomorphism ring."""
@@ -209,15 +207,12 @@ def homogeneous_points(name: str, p: int):
     if entry.delta is None:
         raise ValueError("%s is not tame" % name)
     store = store_for(name, p)
-    out = []
-    for M in store.iso_classes(entry.delta):
-        if not R.is_indecomposable(M, store.budget):
-            continue
-        if R.hom_dim(M, M) != 1:
-            continue
-        if R.iso_test(R.tau(M), M, store.budget):
-            out.append(M)
-    return tuple(out)
+    if "homogeneous_points" not in store.derived:
+        store.derived["homogeneous_points"] = tuple(
+            M for M in store.iso_classes(entry.delta)
+            if R.is_indecomposable(M) and R.hom_dim(M, M) == 1
+            and R.iso_test(R.tau(M), M))
+    return store.derived["homogeneous_points"]
 
 
 def tube_module(name: str, p: int, tube_index: int, i: int, length: int):
@@ -242,17 +237,11 @@ def rigid_indecomposables(name: str, p: int, bound_vec):
     """Indecomposable rigid classes with dimension vector under the bound."""
     store = store_for(name, p)
     out = []
-    for dims in _dims_upto(bound_vec):
+    for dims in dim_vectors_upto(len(bound_vec), bound_vec=bound_vec):
         for M in store.iso_classes(dims):
-            if R.is_rigid(M) and R.is_indecomposable(M, store.budget):
+            if R.is_rigid(M) and R.is_indecomposable(M):
                 out.append(M)
     return out
-
-
-def _dims_upto(bound_vec):
-    from itertools import product
-    ranges = [range(b + 1) for b in bound_vec]
-    return [d for d in product(*ranges) if any(d)]
 
 
 def find_rigid_module(name: str, p: int, dims):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from . import catalog
 from . import rep as R
 from .families import RepFamily, grassmannian_poly, poly_to_scalar
-from .modp import DEFAULT_BUDGET
 from .quiver import ClusterModel
 from .scalars import FORMAL, SpecializedMode
 from .torus import ToricElement
@@ -43,15 +42,14 @@ def _module_vector(model: ClusterModel, module) -> tuple:
     return module.dims
 
 
-def cc_map(obj: ClusterObject, model: ClusterModel, p: int,
-           budget=DEFAULT_BUDGET) -> ToricElement:
+def cc_map(obj: ClusterObject, model: ClusterModel, p: int) -> ToricElement:
     """Specialized-mode value of the map at the prime p."""
     torus = model.torus(SpecializedMode(p))
     mv = _module_vector(model, obj.module)
     if obj.module is not None and obj.module.p != p:
         raise CCError("module lives over p=%d, asked for %d" % (obj.module.p, p))
     out = torus.zero()
-    counts = (R.all_grassmannian_counts(obj.module, budget)
+    counts = (R.all_grassmannian_counts(obj.module)
               if obj.module is not None else {(0,) * model.n: 1})
     for e, cnt in sorted(counts.items()):
         half = -model.euler(e, tuple(m - x for m, x in zip(mv, e)))
@@ -61,8 +59,7 @@ def cc_map(obj: ClusterObject, model: ClusterModel, p: int,
     return out
 
 
-def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel,
-                  budget=DEFAULT_BUDGET) -> ToricElement:
+def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel) -> ToricElement:
     """Formal-mode value; Grassmannian counts are interpolated polynomials."""
     torus = model.torus(FORMAL)
     obj = ClusterObject(None, shifts)
@@ -73,7 +70,7 @@ def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel,
     out = torus.zero()
     from itertools import product
     for e in sorted(product(*[range(d + 1) for d in mv])):
-        coeffs = grassmannian_poly(family, e, budget)
+        coeffs = grassmannian_poly(family, e)
         if not coeffs:
             continue
         half = -model.euler(e, tuple(m - x for m, x in zip(mv, e)))
@@ -88,7 +85,7 @@ def shifted_projective(model: ClusterModel, i: int, p: int) -> ToricElement:
     return cc_map(ClusterObject(None, {i: 1}), model, p)
 
 
-def cc_delta(name: str, p: int, budget=DEFAULT_BUDGET) -> ToricElement:
+def cc_delta(name: str, p: int) -> ToricElement:
     """The common value of the map on degree-one homogeneous regular simples.
 
     Well-definedness is asserted by evaluating two distinct points whenever
@@ -99,9 +96,9 @@ def cc_delta(name: str, p: int, budget=DEFAULT_BUDGET) -> ToricElement:
     if not pts:
         raise CCError("no degree-one homogeneous point on %s at p=%d" % (name, p))
     model = entry.model
-    first = cc_map(ClusterObject(pts[0]), model, p, budget)
+    first = cc_map(ClusterObject(pts[0]), model, p)
     if len(pts) > 1:
-        second = cc_map(ClusterObject(pts[1]), model, p, budget)
+        second = cc_map(ClusterObject(pts[1]), model, p)
         if first != second:
             raise CCError("map is not constant on homogeneous points; bug")
     return first
@@ -121,7 +118,7 @@ class GenericVariableError(ValueError):
     pass
 
 
-def generic_variable(name: str, d, p: int, budget=DEFAULT_BUDGET) -> ToricElement:
+def generic_variable(name: str, d, p: int) -> ToricElement:
     """The basis element X_d for an integer vector d.
 
     Rigid route: a rigid module of dimension d+ together with shifted
@@ -143,13 +140,13 @@ def generic_variable(name: str, d, p: int, budget=DEFAULT_BUDGET) -> ToricElemen
     if rigid is not None and dec is not None:
         raise GenericVariableError("vector %s admits both routes; ambiguous" % (d,))
     if rigid is not None:
-        return cc_map(ClusterObject(rigid, dminus), model, p, budget)
+        return cc_map(ClusterObject(rigid, dminus), model, p)
     if dec is not None:
         nn, reg = dec
-        xd = cc_delta(name, p, budget)
+        xd = cc_delta(name, p)
         out = xd ** nn
         if not reg.is_zero():
-            out = out * cc_map(ClusterObject(reg), model, p, budget)
+            out = out * cc_map(ClusterObject(reg), model, p)
         return out
     raise GenericVariableError("no rigid object or tube decomposition for %s" % (d,))
 

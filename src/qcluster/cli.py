@@ -159,10 +159,11 @@ def load_rep(args, prime=None):
     return obj, framed
 
 
-def make_budget(args) -> Budget:
-    return Budget(subspace_tuples=args.budget_subspaces,
-                  matrix_tuples=args.budget_orbits,
-                  hom_elements=args.budget_homs)
+def budget_limits(args) -> dict:
+    """The Budget limits that the --budget-* options set."""
+    return dict(subspace_tuples=args.budget_subspaces,
+                matrix_tuples=args.budget_orbits,
+                hom_elements=args.budget_homs)
 
 
 def emit_reports(reports, as_json: bool) -> int:
@@ -188,13 +189,13 @@ def cmd_ccmap(args) -> int:
     if isinstance(obj, RepFamily):
         if not args.formal:
             obj = obj.instantiate(args.prime)
-            val = cc_map(ClusterObject(obj, shifts), model, args.prime, args.budget)
+            val = cc_map(ClusterObject(obj, shifts), model, args.prime)
         else:
-            val = cc_map_formal(obj, shifts, model, args.budget)
+            val = cc_map_formal(obj, shifts, model)
     else:
         if args.formal:
             raise InputError("formal mode needs a family file")
-        val = cc_map(ClusterObject(obj, shifts), model, args.prime, args.budget)
+        val = cc_map(ClusterObject(obj, shifts), model, args.prime)
     if args.json:
         terms = [{"exponent": list(e), "coeff": c.render()}
                  for e, c in sorted(val.terms.items())]
@@ -209,22 +210,21 @@ def cmd_grass(args) -> int:
     e = tuple(int(x) for x in args.e.split(","))
     if isinstance(obj, RepFamily):
         from .families import grassmannian_poly
-        coeffs = grassmannian_poly(obj, e, args.budget)
+        coeffs = grassmannian_poly(obj, e)
         print(" + ".join("%d q^%d" % (c, k) for k, c in enumerate(coeffs) if c) or "0")
     else:
-        print(R.grassmannian_count(obj, e, args.budget))
+        print(R.grassmannian_count(obj, e))
     return 0
 
 
 def cmd_hall(args) -> int:
     name = args.quiver
-    store = catalog.store_for(name, args.prime, args.budget)
+    store = catalog.store_for(name, args.prime)
     pm = resolve_rep_path(args.m, name)
     pn = resolve_rep_path(args.n, name)
     M, _ = parse_rep(read_text(pm), os.path.dirname(pm), args.prime)
     N, _ = parse_rep(read_text(pn), os.path.dirname(pn), args.prime)
-    rep = harness.verify_hall(name, store.canonical(M), store.canonical(N),
-                              args.prime, args.budget)
+    rep = harness.verify_hall(name, store.canonical(M), store.canonical(N), args.prime)
     return emit_reports([rep], args.json)
 
 
@@ -265,8 +265,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    _elems, reports = harness.generic_basis(args.quiver, args.prime, args.box,
-                                            args.budget)
+    _elems, reports = harness.generic_basis(args.quiver, args.prime, args.box)
     return emit_reports(reports, args.json)
 
 
@@ -297,50 +296,49 @@ def _verify_jobs(statement: str, quivers, primes):
     return [(statement, name, p) for p in primes for name in names]
 
 
-# pair sweeps run on reduced bounds unless --all-pairs asks for the full box
-QUICK_BOUNDS = {"a2": dict(total=3), "a2bare": dict(total=3),
-                "a3": dict(total=3), "kronecker": dict(bound_vec=(1, 1))}
-
-
 def _run_one_job(job, limits, all_pairs):
-    """Run one (statement, quiver, prime) unit under a fresh Budget(**limits)."""
-    statement, name, p = job
-    budget = Budget(**limits)
-    kw = {} if all_pairs else {"bounds": QUICK_BOUNDS}
+    """Run one (statement, quiver, prime) unit under a fresh Budget(**limits);
+    its class stores are freed with it."""
+    with Budget(**limits):
+        return _run_unit(*job, all_pairs)
+
+
+def _run_unit(statement, name, p, all_pairs):
+    # pair sweeps run on the Green bounds unless --all-pairs asks for the full box
+    kw = {} if all_pairs else {"bounds": harness.GREEN_BOUNDS}
     if statement == "thm3.3":
-        return harness.sweep_hall(name, p, budget, **kw)
+        return harness.sweep_hall(name, p, **kw)
     if statement == "green":
-        return harness.sweep_green(name, p, budget, **kw)
+        return harness.sweep_green(name, p, **kw)
     if statement == "thm3.5":
-        return harness.sweep_onedim(name, p, budget, **kw)
+        return harness.sweep_onedim(name, p, **kw)
     if statement == "thm3.8":
-        return harness.sweep_exchange(name, p, budget, **kw)
+        return harness.sweep_exchange(name, p, **kw)
     if statement == "lem5.2":
         entry = catalog.get(name)
-        return [harness.verify_tube_recursion(name, t, i, p, budget)
+        return [harness.verify_tube_recursion(name, t, i, p)
                 for t in range(len(entry.tubes)) for i in (1, 2)]
     if statement == "lem5.4":
-        return harness.verify_kronecker(p, budget) + \
-            [harness.verify_kronecker_formal(budget)]
+        return harness.verify_kronecker(p) + [harness.verify_kronecker_formal()]
     if statement == "prop4.3":
-        return _cone_sweep(name, p, budget)
+        return _cone_sweep(name, p)
     if statement == "prop4.5":
-        return harness.verify_standard_monomials(name, p, budget=budget)
+        return harness.verify_standard_monomials(name, p)
     if statement in ("prop6.1", "prop6.2"):
-        return harness.verify_difference(name, p, budget=budget)
+        return harness.verify_difference(name, p)
     if statement == "conj6.4":
         entry = catalog.get(name)
         out = []
         for t in range(len(entry.tubes)):
-            out += harness.check_conjecture(name, t, p, budget)
+            out += harness.check_conjecture(name, t, p)
         return out
     if statement == "basis":
-        _elems, rs = harness.generic_basis(name, p, 1, budget)
+        _elems, rs = harness.generic_basis(name, p, 1)
         return rs
     raise InputError("unknown statement %r" % statement)
 
 
-def run_verify(statement: str, quivers, primes, limits, jobs=1, all_pairs=True):
+def run_verify(statement: str, quivers, primes, limits, jobs, all_pairs):
     """Reports of every unit in job order; each unit gets its own budget with
     the given limits, so the verdicts and exit code do not depend on jobs."""
     work = _verify_jobs(statement, quivers, primes)
@@ -355,18 +353,18 @@ def run_verify(statement: str, quivers, primes, limits, jobs=1, all_pairs=True):
     return [r for chunk in chunks for r in chunk]
 
 
-def _cone_sweep(name, p, budget):
+def _cone_sweep(name, p):
     from .hall import dim_vectors_upto
     entry = catalog.get(name)
-    store = catalog.store_for(name, p, budget)
+    store = catalog.store_for(name, p)
     reports = []
     objs = [ClusterObject(None, {i: 1}) for i in range(1, entry.principal.n + 1)]
     for d in dim_vectors_upto(entry.principal.n, bound_total=3):
         for M in store.iso_classes(d):
-            if R.is_indecomposable(M, budget):
+            if R.is_indecomposable(M):
                 objs.append(ClusterObject(M))
     for o in objs:
-        reports.append(harness.support_cone_check(name, o, p, budget))
+        reports.append(harness.support_cone_check(name, o, p))
     return reports
 
 
@@ -382,7 +380,7 @@ def cmd_verify(args) -> int:
         print("warning: the affine basis statements assume a field with more "
               "than two elements; p=2 results are not covered by them",
               file=sys.stderr)
-    reports = run_verify(args.statement, quivers, primes, args.budget.limits,
+    reports = run_verify(args.statement, quivers, primes, budget_limits(args),
                          jobs=args.jobs, all_pairs=args.all_pairs)
     return emit_reports(reports, args.json)
 
@@ -472,9 +470,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.budget = make_budget(args)
     try:
-        return args.func(args)
+        with Budget(**budget_limits(args)):
+            return args.func(args)
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3

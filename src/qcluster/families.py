@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .modp import DEFAULT_BUDGET
 from .rep import QuiverRep, grassmannian_count
 from .scalars import FormalScalar
 
@@ -75,7 +74,7 @@ def lagrange_interpolate(points):
     return coeffs
 
 
-def grassmannian_poly(family: RepFamily, e, budget=DEFAULT_BUDGET):
+def grassmannian_poly(family: RepFamily, e):
     """Integer coefficients (ascending) of |Gr_e| as a polynomial in the field
     size, interpolated at D+1 primes and verified at a held-out prime."""
     e = tuple(e)
@@ -88,7 +87,7 @@ def grassmannian_poly(family: RepFamily, e, budget=DEFAULT_BUDGET):
     points = []
     for p in sample:
         rep = family.instantiate(p)
-        points.append((p, grassmannian_count(rep, e, budget)))
+        points.append((p, grassmannian_count(rep, e)))
     coeffs = lagrange_interpolate(points)
     out = []
     for c in coeffs:
@@ -99,7 +98,7 @@ def grassmannian_poly(family: RepFamily, e, budget=DEFAULT_BUDGET):
     while out and out[-1] == 0:
         out.pop()
     check = sum(c * holdout**k for k, c in enumerate(out))
-    direct = grassmannian_count(family.instantiate(holdout), e, budget)
+    direct = grassmannian_count(family.instantiate(holdout), e)
     if check != direct:
         raise InterpolationError(
             "held-out prime %d mismatch: %d vs %d" % (holdout, check, direct))

@@ -17,7 +17,10 @@ from itertools import product
 
 from . import modp
 from . import rep as R
-from .modp import DEFAULT_BUDGET, Budget
+
+# iso_classes walks all p^entries matrix tuples, so it refuses more entries
+MAX_ENTRIES = 12        # for p <= 3
+MAX_ENTRIES_P5 = 8      # for p >= 5
 
 
 def _primitive_root(p):
@@ -66,14 +69,15 @@ def _block_table(rows, cols, left, right, p):
 
 
 class ClassStore:
-    """Memoized per-(quiver, p) tables: iso classes, counts, hall numbers."""
+    """Memoized per-(quiver, p) tables: iso classes, counts, hall numbers.
 
-    def __init__(self, quiver, p, budget: Budget = DEFAULT_BUDGET,
-                 max_entries=12, max_entries_p5=8):
+    Enumerations tick the active ``modp`` meter of the call that runs them.
+    """
+
+    def __init__(self, quiver, p):
         self.quiver = quiver
         self.p = p
-        self.budget = budget
-        self.max_entries = max_entries if p <= 3 else max_entries_p5
+        self.derived: dict = {}   # tables that callers build from these ones
         self._classes: dict[tuple, list] = {}
         self._labels: dict[tuple, array] = {}
         self._orbit: dict[tuple, int] = {}
@@ -140,17 +144,19 @@ class ClassStore:
         q = self.quiver
         p = self.p
         entries = self.matrix_entry_count(dims)
-        if entries > self.max_entries:
+        cap = MAX_ENTRIES if p <= 3 else MAX_ENTRIES_P5
+        if entries > cap:
             raise R.RepError(
                 "orbit enumeration over %d matrix entries exceeds the budget "
-                "(%d at p=%d)" % (entries, self.max_entries, p))
+                "(%d at p=%d)" % (entries, cap, p))
         shapes = [(dims[t - 1], dims[s - 1]) for s, t in q.arrows]
         moves = self._orbit_moves(dims)
         labels = array("I", [0]) * p ** entries   # class number + 1; 0 = unseen
         reps = []
         orbits = []
+        budget = modp.meter()
         for index, values in enumerate(product(range(p), repeat=entries)):
-            self.budget.tick("matrix_tuples")
+            budget.tick("matrix_tuples")
             if labels[index]:
                 continue
             mats = {}
@@ -206,7 +212,7 @@ class ClassStore:
         orbit-stabiliser identity |orbit| * |Aut M| = |G_d|."""
         key = M.key()
         if key not in self._aut:
-            count = R.aut_count(M, self.budget)
+            count = R.aut_count(M)
             orbit = (self._orbit.get(key)
                      if M.quiver == self.quiver and M.p == self.p else None)
             if orbit is not None and orbit * count != self.group_order(M.dims):
@@ -232,7 +238,7 @@ class ClassStore:
     def submods(self, M, e):
         key = (M.key(), tuple(e))
         if key not in self._subcache:
-            self._subcache[key] = R.submodules(M, e, self.budget)
+            self._subcache[key] = R.submodules(M, e)
         return self._subcache[key]
 
     def filtration_count(self, M, A, B) -> int:
@@ -245,10 +251,10 @@ class ClassStore:
         count = 0
         for bases in self.submods(M, B.dims):
             sub = R.sub_rep(M, bases)
-            if not R.iso_test(sub, B, self.budget):
+            if not R.iso_test(sub, B):
                 continue
             quot = R.quotient_rep(M, bases)
-            if R.iso_test(quot, A, self.budget):
+            if R.iso_test(quot, A):
                 count += 1
         self._filt[key] = count
         return count
@@ -300,7 +306,7 @@ class ClassStore:
         out = []
         for dims in dims_list:
             for M in self.iso_classes(dims):
-                if R.is_indecomposable(M, self.budget):
+                if R.is_indecomposable(M):
                     out.append(M)
         return out
 

@@ -13,7 +13,6 @@ from . import catalog
 from . import rep as R
 from .ccmap import ClusterObject, cc_map, extended_coreflect, generic_variable
 from .hall import dim_vectors_upto
-from .modp import DEFAULT_BUDGET
 from .quiver import ClusterModel, build_matrices, verify_lemma_bilinear
 from .scalars import SpecializedMode
 from .seeds import QuantumSeed, mutate_matrices, standard_monomial
@@ -64,14 +63,14 @@ def _cmp_report(statement, inputs, lhs: ToricElement, rhs: ToricElement,
 # Hall-style multiplication (the product-expansion identity)
 
 
-def verify_hall(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_hall(name: str, M, N, p: int) -> VerifyReport:
     """q^[M,N]^1 X_N X_M = q^(-skew(...)/2) sum_E eps^E_{M,N} X_E, exactly."""
     entry = catalog.get(name)
     model = entry.model
-    store = catalog.store_for(name, p, budget)
+    store = catalog.store_for(name, p)
     torus = model.torus(SpecializedMode(p))
-    xm = cc_map(ClusterObject(M), model, p, budget)
-    xn = cc_map(ClusterObject(N), model, p, budget)
+    xm = cc_map(ClusterObject(M), model, p)
+    xn = cc_map(ClusterObject(N), model, p)
     ext1 = store.ext(M, N)
     lhs = torus.q(2 * ext1) * (xn * xm)
     ir_m = model.exch.ir_vec(M.dims)
@@ -81,22 +80,24 @@ def verify_hall(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
     for E in store.middle_terms(M, N):
         eps = store.ext_count(E, M, N)
         if eps:
-            rhs = rhs + cc_map(ClusterObject(E), model, p, budget) * eps
+            rhs = rhs + cc_map(ClusterObject(E), model, p) * eps
     rhs = torus.q(tw) * rhs
     inputs = "%s p=%d M=%s N=%s" % (name, p, list(M.dims), list(N.dims))
     return _cmp_report("thm3.3", inputs, lhs, rhs)
 
 
-def hall_pairs(name: str, p: int, total=None, bound_vec=None, budget=DEFAULT_BUDGET):
-    """Ordered pairs of indecomposables within the sweep bounds."""
-    entry = catalog.get(name)
-    store = catalog.store_for(name, p, budget)
-    n = entry.principal.n
-    dims = dim_vectors_upto(n, bound_total=total, bound_vec=bound_vec)
-    indecs = store.indecomposables(dims)
+def _sweep_dims(name: str, total=None, bound_vec=None):
+    """Dimension vectors of the principal part within the sweep bounds."""
+    return dim_vectors_upto(catalog.get(name).principal.n,
+                            bound_total=total, bound_vec=bound_vec)
+
+
+def _bounded_pairs(classes, total=None, bound_vec=None):
+    """Ordered pairs of the classes whose summed dimension vector is within
+    the sweep bounds."""
     pairs = []
-    for M in indecs:
-        for N in indecs:
+    for M in classes:
+        for N in classes:
             tot = tuple(a + b for a, b in zip(M.dims, N.dims))
             if total is not None and sum(tot) > total:
                 continue
@@ -106,22 +107,28 @@ def hall_pairs(name: str, p: int, total=None, bound_vec=None, budget=DEFAULT_BUD
     return pairs
 
 
+def hall_pairs(name: str, p: int, total=None, bound_vec=None):
+    """Ordered pairs of indecomposables within the sweep bounds."""
+    store = catalog.store_for(name, p)
+    indecs = store.indecomposables(_sweep_dims(name, total, bound_vec))
+    return _bounded_pairs(indecs, total, bound_vec)
+
+
 SWEEP_BOUNDS = {"a2": dict(total=4), "a2bare": dict(total=4),
                 "a3": dict(total=4), "kronecker": dict(bound_vec=(2, 2))}
 
 
-def sweep_hall(name: str, p: int = 3, budget=DEFAULT_BUDGET, bounds=None):
+def sweep_hall(name: str, p: int = 3, bounds=None):
     kw = (bounds or SWEEP_BOUNDS).get(name, dict(total=3))
-    return [verify_hall(name, M, N, p, budget)
-            for M, N in hall_pairs(name, p, budget=budget, **kw)]
+    return [verify_hall(name, M, N, p) for M, N in hall_pairs(name, p, **kw)]
 
 
 # ---------------------------------------------------------------------------
 # Green's formula (pure counting identity)
 
 
-def verify_green(name: str, M, N, X, Y, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
-    store = catalog.store_for(name, p, budget)
+def verify_green(name: str, M, N, X, Y, p: int) -> VerifyReport:
+    store = catalog.store_for(name, p)
     model = catalog.get(name).model
     q = Fraction(p)
     lhs = Fraction(0)
@@ -167,17 +174,17 @@ GREEN_BOUNDS = {"a2": dict(total=3), "a2bare": dict(total=3),
                 "a3": dict(total=3), "kronecker": dict(bound_vec=(1, 1))}
 
 
-def sweep_green(name: str, p: int = 3, budget=DEFAULT_BUDGET, bounds=None):
+def sweep_green(name: str, p: int = 3, bounds=None):
     kw = (bounds or GREEN_BOUNDS).get(name, dict(total=3))
-    store = catalog.store_for(name, p, budget)
+    store = catalog.store_for(name, p)
     out = []
-    for M, N in hall_pairs(name, p, budget=budget, **kw):
+    for M, N in hall_pairs(name, p, **kw):
         tot = tuple(a + b for a, b in zip(M.dims, N.dims))
         for x in product(*[range(t + 1) for t in tot]):
             y = tuple(t - v for t, v in zip(tot, x))
             for X in store.iso_classes(x):
                 for Y in store.iso_classes(y):
-                    out.append(verify_green(name, M, N, X, Y, p, budget))
+                    out.append(verify_green(name, M, N, X, Y, p))
     return out
 
 
@@ -229,7 +236,7 @@ def decompose_projective(P):
 # One-dimensional extension multiplication
 
 
-def verify_onedim(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_onedim(name: str, M, N, p: int) -> VerifyReport:
     """X_N X_M as a two-term sum over the extension and its companion object.
 
     Hypotheses (one-dimensional ext, one-dimensional reverse Hom to the
@@ -238,7 +245,7 @@ def verify_onedim(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyRepor
     """
     entry = catalog.get(name)
     model = entry.model
-    store = catalog.store_for(name, p, budget)
+    store = catalog.store_for(name, p)
     framed = entry.framed
     inputs = "%s p=%d M=%s N=%s" % (name, p, list(M.dims), list(N.dims))
     Mf = R.extend_to(M, framed)
@@ -247,7 +254,7 @@ def verify_onedim(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyRepor
         return VerifyReport("thm3.5", inputs, verdict="skip", detail="ext(M,N) != 1")
     # split M = M' + P0 with P0 projective; the translate sees only M'
     proj_candidates = [R.projective(framed, p, j) for j in range(1, framed.m + 1)]
-    pcounts, mprime = R.split_summands(Mf, proj_candidates, budget)
+    pcounts, mprime = R.split_summands(Mf, proj_candidates)
     p0 = None
     for j, c in enumerate(pcounts):
         for _ in range(c):
@@ -265,7 +272,7 @@ def verify_onedim(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyRepor
     d0f = R.sub_rep(Nf, _hom_kernel(f, Nf))
     coker = R.quotient_rep(tau_m, _hom_image_bases(f, Nf, tau_m))
     inj_candidates = [R.injective(framed, p, j) for j in range(1, framed.m + 1)]
-    counts, tau_a = R.split_summands(coker, inj_candidates, budget)
+    counts, tau_a = R.split_summands(coker, inj_candidates)
     inj_shifts = {j + 1: c for j, c in enumerate(counts) if c}
     ipart = None
     for j, c in inj_shifts.items():
@@ -290,22 +297,22 @@ def verify_onedim(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyRepor
     a0 = R.restrict_principal(a_f)
     da = R.direct_sum(d0, a0)
     torus = model.torus(SpecializedMode(p))
-    xm = cc_map(ClusterObject(M), model, p, budget)
-    xn = cc_map(ClusterObject(N), model, p, budget)
+    xm = cc_map(ClusterObject(M), model, p)
+    xn = cc_map(ClusterObject(N), model, p)
     lhs = xn * xm
     ir_n = model.exch.ir_vec(N.dims)
     ir_m = model.exch.ir_vec(M.dims)
     alpha = model.pairing(ir_n, ir_m)
     beta = alpha + model.euler(M.dims, N.dims) - model.euler(a0.dims, d0.dims)
-    rhs = (torus.q(alpha) * cc_map(ClusterObject(E), model, p, budget)
-           + torus.q(beta) * cc_map(ClusterObject(da, inj_shifts), model, p, budget))
+    rhs = (torus.q(alpha) * cc_map(ClusterObject(E), model, p)
+           + torus.q(beta) * cc_map(ClusterObject(da, inj_shifts), model, p))
     case = ""
     if a0.is_zero() and not inj_shifts:
         case = "case I"
     elif d0.is_zero():
         case = "case II"
-    if (R.is_rigid(M) and R.is_rigid(N) and R.is_indecomposable(M, budget)
-            and R.is_indecomposable(N, budget) and store.ext(N, M) == 0):
+    if (R.is_rigid(M) and R.is_rigid(N) and R.is_indecomposable(M)
+            and R.is_indecomposable(N) and store.ext(N, M) == 0):
         gap = model.euler(a0.dims, d0.dims) - model.euler(M.dims, N.dims)
         if gap != 1:
             return VerifyReport("thm3.5", inputs, verdict="fail",
@@ -314,32 +321,19 @@ def verify_onedim(name: str, M, N, p: int, budget=DEFAULT_BUDGET) -> VerifyRepor
     return _cmp_report("thm3.5", inputs, lhs, rhs, detail=case or "general")
 
 
-def sweep_onedim(name: str, p: int = 3, budget=DEFAULT_BUDGET, bounds=None):
+def sweep_onedim(name: str, p: int = 3, bounds=None):
     """All ordered pairs of iso classes (decomposables included) in bounds."""
     kw = (bounds or SWEEP_BOUNDS).get(name, dict(total=3))
-    entry = catalog.get(name)
-    store = catalog.store_for(name, p, budget)
-    dims = dim_vectors_upto(entry.principal.n,
-                            bound_total=kw.get("total"),
-                            bound_vec=kw.get("bound_vec"))
-    classes = [M for d in dims for M in store.iso_classes(d)]
-    out = []
-    for M in classes:
-        for N in classes:
-            tot = tuple(a + b for a, b in zip(M.dims, N.dims))
-            if "total" in kw and sum(tot) > kw["total"]:
-                continue
-            if "bound_vec" in kw and any(a > b for a, b in zip(tot, kw["bound_vec"])):
-                continue
-            out.append(verify_onedim(name, M, N, p, budget))
-    return out
+    store = catalog.store_for(name, p)
+    classes = [M for d in _sweep_dims(name, **kw) for M in store.iso_classes(d)]
+    return [verify_onedim(name, M, N, p) for M, N in _bounded_pairs(classes, **kw)]
 
 
 # ---------------------------------------------------------------------------
 # Projective-injective exchange multiplication
 
 
-def verify_exchange(name: str, M, j: int, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_exchange(name: str, M, j: int, p: int) -> VerifyReport:
     """X_{tau P_j} X_M as the two-term sum over the kernel/cokernel objects."""
     entry = catalog.get(name)
     model = entry.model
@@ -369,29 +363,27 @@ def verify_exchange(name: str, M, j: int, p: int, budget=DEFAULT_BUDGET) -> Veri
         return VerifyReport("thm3.8", inputs, verdict="skip", detail="[P',A] != 0")
     torus = model.torus(SpecializedMode(p))
     ej = tuple(1 if i == j - 1 else 0 for i in range(model.m))
-    lhs = torus.monomial(ej) * cc_map(ClusterObject(M), model, p, budget)
+    lhs = torus.monomial(ej) * cc_map(ClusterObject(M), model, p)
     alpha = -model.pairing(ej, model.exch.ir_vec(M.dims))
     b_pr = R.restrict_principal(bker)
     a_pr = R.restrict_principal(acoker)
-    xe = cc_map(ClusterObject(b_pr, ishifts), model, p, budget)
-    xep = cc_map(ClusterObject(a_pr, pshifts), model, p, budget)
+    xe = cc_map(ClusterObject(b_pr, ishifts), model, p)
+    xep = cc_map(ClusterObject(a_pr, pshifts), model, p)
     rhs = torus.q(alpha) * xe + torus.q(alpha - 1) * xep
     return _cmp_report("thm3.8", inputs, lhs, rhs)
 
 
-def sweep_exchange(name: str, p: int = 3, budget=DEFAULT_BUDGET, bounds=None):
+def sweep_exchange(name: str, p: int = 3, bounds=None):
     kw = (bounds or SWEEP_BOUNDS).get(name, dict(total=3))
     entry = catalog.get(name)
-    store = catalog.store_for(name, p, budget)
-    dims = dim_vectors_upto(entry.principal.n, **{
-        ("bound_total" if "total" in kw else "bound_vec"): list(kw.values())[0]})
+    store = catalog.store_for(name, p)
     out = []
-    for d in dims:
+    for d in _sweep_dims(name, **kw):
         for M in store.iso_classes(d):
-            if not R.is_indecomposable(M, budget):
+            if not R.is_indecomposable(M):
                 continue
             for j in range(1, entry.framed.m + 1):
-                out.append(verify_exchange(name, M, j, p, budget))
+                out.append(verify_exchange(name, M, j, p))
     return out
 
 
@@ -399,17 +391,16 @@ def sweep_exchange(name: str, p: int = 3, budget=DEFAULT_BUDGET, bounds=None):
 # Tube recursion
 
 
-def verify_tube_recursion(name: str, tube_index: int, i: int, p: int,
-                          budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_tube_recursion(name: str, tube_index: int, i: int, p: int) -> VerifyReport:
     entry = catalog.get(name)
     model = entry.model
     framed = entry.framed
     simples = entry.tube_simples(p, tube_index)
     r = len(simples)
     inputs = "%s p=%d tube=%d i=%d rank=%d" % (name, p, tube_index, i, r)
-    e_top = tube_module(name, p, tube_index, i, r)
-    e_mid = tube_module(name, p, tube_index, i, r - 1)
-    e_low = tube_module(name, p, tube_index, i, r - 2)
+    e_top = catalog.tube_module(name, p, tube_index, i, r)
+    e_mid = catalog.tube_module(name, p, tube_index, i, r - 1)
+    e_low = catalog.tube_module(name, p, tube_index, i, r - 2)
     e_prev = simples[(i - 2) % r]
     tau_prev = R.tau(R.extend_to(e_prev, framed))
     homs = R.hom_basis(R.extend_to(e_mid, framed), tau_prev)
@@ -427,34 +418,30 @@ def verify_tube_recursion(name: str, tube_index: int, i: int, p: int,
     if any(jj <= model.n for jj in ishifts):
         return VerifyReport("lem5.2", inputs, verdict="fail",
                             detail="injective part not frozen: %s" % ishifts)
-    if not R.iso_test(R.restrict_principal(ker), e_low, budget):
+    if not R.iso_test(R.restrict_principal(ker), e_low):
         return VerifyReport("lem5.2", inputs, verdict="fail",
                             detail="kernel is not E_i[r-2]")
     torus = model.torus(SpecializedMode(p))
-    lhs = (cc_map(ClusterObject(e_mid), model, p, budget)
-           * cc_map(ClusterObject(e_prev), model, p, budget))
+    lhs = (cc_map(ClusterObject(e_mid), model, p)
+           * cc_map(ClusterObject(e_prev), model, p))
     beta = model.pairing(model.exch.ir_vec(e_mid.dims), model.exch.ir_vec(e_prev.dims))
-    rhs = (torus.q(beta) * cc_map(ClusterObject(e_top), model, p, budget)
-           + torus.q(beta - 1) * cc_map(ClusterObject(e_low, ishifts), model, p, budget))
+    rhs = (torus.q(beta) * cc_map(ClusterObject(e_top), model, p)
+           + torus.q(beta - 1) * cc_map(ClusterObject(e_low, ishifts), model, p))
     return _cmp_report("lem5.2", inputs, lhs, rhs)
-
-
-def tube_module(name, p, tube_index, i, length):
-    return catalog.tube_module(name, p, tube_index, i, length)
 
 
 # ---------------------------------------------------------------------------
 # The Kronecker golden identity
 
 
-def verify_kronecker(p: int, budget=DEFAULT_BUDGET) -> list[VerifyReport]:
+def verify_kronecker(p: int) -> list[VerifyReport]:
     entry = catalog.get("kronecker")
     model = entry.model
     torus = model.torus(SpecializedMode(p))
     q = entry.principal
-    xs1 = cc_map(ClusterObject(R.simple(q, p, 1)), model, p, budget)
-    xs2 = cc_map(ClusterObject(R.simple(q, p, 2)), model, p, budget)
-    xr = cc_map(ClusterObject(catalog.kron_regular(p, 1)), model, p, budget)
+    xs1 = cc_map(ClusterObject(R.simple(q, p, 1)), model, p)
+    xs2 = cc_map(ClusterObject(R.simple(q, p, 2)), model, p)
+    xr = cc_map(ClusterObject(catalog.kron_regular(p, 1)), model, p)
     out = []
     golden = {
         "X_S1": (xs1, [(-1, 0, 1, 0), (-1, 2, 0, 0)]),
@@ -473,15 +460,15 @@ def verify_kronecker(p: int, budget=DEFAULT_BUDGET) -> list[VerifyReport]:
     return out
 
 
-def verify_kronecker_formal(budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_kronecker_formal() -> VerifyReport:
     from .ccmap import cc_map_formal
     from .scalars import FORMAL
     entry = catalog.get("kronecker")
     model = entry.model
     torus = model.torus(FORMAL)
-    xs1 = cc_map_formal(catalog.family_for("kronecker", "s1"), {}, model, budget)
-    xs2 = cc_map_formal(catalog.family_for("kronecker", "s2"), {}, model, budget)
-    xr = cc_map_formal(catalog.family_for("kronecker", "r1"), {}, model, budget)
+    xs1 = cc_map_formal(catalog.family_for("kronecker", "s1"), {}, model)
+    xs2 = cc_map_formal(catalog.family_for("kronecker", "s2"), {}, model)
+    xr = cc_map_formal(catalog.family_for("kronecker", "r1"), {}, model)
     prod = torus.monomial((1, 0, 0, 0)) * torus.monomial((0, 1, 0, 0)) \
         * torus.monomial((0, 0, 0, 1))
     rhs = xs1 * xs2 - torus.q(-1) * prod
@@ -497,8 +484,7 @@ def _frozen_copy_shift(model: ClusterModel, u):
     return {model.n + i + 1: x for i, x in enumerate(u) if x}
 
 
-def verify_difference(name: str, p: int, tube_index: int = 0,
-                      budget=DEFAULT_BUDGET) -> list[VerifyReport]:
+def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyReport]:
     """Count identity for every e, then the two-term toric identity.
 
     The toric identity is checked in two forms.  The object form carries the
@@ -514,19 +500,19 @@ def verify_difference(name: str, p: int, tube_index: int = 0,
     statement = "prop6.2" if name.startswith("dtilde") else "prop6.1"
     simples = entry.tube_simples(p, tube_index)
     s = len(simples)
-    e1s = tube_module(name, p, tube_index, 1, s)
-    e2low = tube_module(name, p, tube_index, 2, s - 2)
+    e1s = catalog.tube_module(name, p, tube_index, 1, s)
+    e2low = catalog.tube_module(name, p, tube_index, 2, s - 2)
     elam = catalog.homogeneous_points(name, p)[0]
     shift = simples[0].dims
     reports = []
     count_ok = True
     detail = ""
     for e in product(*[range(d + 1) for d in e1s.dims]):
-        lhs = R.grassmannian_count(e1s, e, budget)
-        rhs = R.grassmannian_count(elam, e, budget)
+        lhs = R.grassmannian_count(e1s, e)
+        rhs = R.grassmannian_count(elam, e)
         e2 = tuple(x - y for x, y in zip(e, shift))
         if all(x >= 0 for x in e2):
-            rhs += R.grassmannian_count(e2low, e2, budget)
+            rhs += R.grassmannian_count(e2low, e2)
         if lhs != rhs:
             count_ok = False
             detail = "count mismatch at e=%s: %d vs %d" % (e, lhs, rhs)
@@ -535,14 +521,13 @@ def verify_difference(name: str, p: int, tube_index: int = 0,
                                 verdict="pass" if count_ok else "fail",
                                 detail=detail))
     torus = model.torus(SpecializedMode(p))
-    lhs = cc_map(ClusterObject(e1s), model, p, budget)
-    base = cc_map(ClusterObject(elam), model, p, budget)
+    lhs = cc_map(ClusterObject(e1s), model, p)
+    base = cc_map(ClusterObject(elam), model, p)
     frozen = _frozen_copy_shift(model, simples[0].dims)
-    rhs_object = base + torus.q(1) * cc_map(ClusterObject(e2low, frozen),
-                                            model, p, budget)
+    rhs_object = base + torus.q(1) * cc_map(ClusterObject(e2low, frozen), model, p)
     reports.append(_cmp_report(statement, "%s p=%d toric(object)" % (name, p),
                                lhs, rhs_object))
-    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(e2low), model, p, budget)
+    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(e2low), model, p)
     plain = _cmp_report(statement, "%s p=%d toric(module)" % (name, p),
                         lhs, rhs_plain, neutral=True)
     plain.detail = ("module form drops the frozen injective shift"
@@ -551,25 +536,23 @@ def verify_difference(name: str, p: int, tube_index: int = 0,
     return reports
 
 
-def check_conjecture(name: str, tube_index: int, p: int,
-                     budget=DEFAULT_BUDGET) -> list[VerifyReport]:
+def check_conjecture(name: str, tube_index: int, p: int) -> list[VerifyReport]:
     """Difference form on an arbitrary tube; reported neutrally, in both the
     frozen-shift object form and the plain module form."""
     entry = catalog.get(name)
     model = entry.model
     simples = entry.tube_simples(p, tube_index)
     nrank = len(simples)
-    e_n = tube_module(name, p, tube_index, 1, nrank)
+    e_n = catalog.tube_module(name, p, tube_index, 1, nrank)
     # tau^{-1} E_1 = E_2 in the cyclic labelling
-    low = tube_module(name, p, tube_index, 2, nrank - 2)
+    low = catalog.tube_module(name, p, tube_index, 2, nrank - 2)
     elam = catalog.homogeneous_points(name, p)[0]
     torus = model.torus(SpecializedMode(p))
-    lhs = cc_map(ClusterObject(e_n), model, p, budget)
-    base = cc_map(ClusterObject(elam), model, p, budget)
+    lhs = cc_map(ClusterObject(e_n), model, p)
+    base = cc_map(ClusterObject(elam), model, p)
     frozen = _frozen_copy_shift(model, simples[0].dims)
-    rhs_object = base + torus.q(1) * cc_map(ClusterObject(low, frozen),
-                                            model, p, budget)
-    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(low), model, p, budget)
+    rhs_object = base + torus.q(1) * cc_map(ClusterObject(low, frozen), model, p)
+    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(low), model, p)
     tag = "%s p=%d tube=%d" % (name, p, tube_index)
     return [
         _cmp_report("conj6.4", tag + " (object)", lhs, rhs_object, neutral=True),
@@ -581,14 +564,14 @@ def check_conjecture(name: str, tube_index: int, p: int,
 # Homogeneous tube sum (the delta-element membership identity)
 
 
-def verify_homogeneous_sum(name: str, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_homogeneous_sum(name: str, p: int) -> VerifyReport:
     """The grouped middle-term expansion of q^2 X_{P_e} X_I for the simple
     projective at a principal sink e with delta_e = 1 and the preinjective of
     complementary dimension: the homogeneous part collapses by the parameter
     independence, with exactly q+1-t points, each with q-1 classes."""
     entry = catalog.get(name)
     model = entry.model
-    store = catalog.store_for(name, p, budget)
+    store = catalog.store_for(name, p)
     qp = entry.principal
     sink = next(v for v in range(1, qp.n + 1)
                 if qp.is_sink(v) and entry.delta[v - 1] == 1)
@@ -596,7 +579,7 @@ def verify_homogeneous_sum(name: str, p: int, budget=DEFAULT_BUDGET) -> VerifyRe
     rest = tuple(d - x for d, x in zip(entry.delta, pe.dims))
     icand = catalog.find_rigid_module(name, p, rest)
     inputs = "%s p=%d sink=%d" % (name, p, sink)
-    if icand is None or not R.is_indecomposable(icand, budget):
+    if icand is None or not R.is_indecomposable(icand):
         return VerifyReport("thm5.3", inputs, verdict="fail",
                             detail="no preinjective complement found")
     if store.ext(icand, pe) != 2:
@@ -607,7 +590,7 @@ def verify_homogeneous_sum(name: str, p: int, budget=DEFAULT_BUDGET) -> VerifyRe
     for t in range(len(entry.tubes)):
         rank = len(entry.tube_simples(p, t))
         for i in (1, 2):
-            tubes_full.add(store.classify(tube_module(name, p, t, i, rank)))
+            tubes_full.add(store.classify(catalog.tube_module(name, p, t, i, rank)))
     split = store.classify(R.direct_sum(pe, icand))
     t_count = entry.nonhomog_count
     if len(homog) != p + 1 - t_count:
@@ -639,8 +622,8 @@ def verify_homogeneous_sum(name: str, p: int, budget=DEFAULT_BUDGET) -> VerifyRe
                             detail="tube middle terms %d != %d" % (hits_per_tube, t_count))
     # the homogeneous values all agree, so the grouped identity follows from
     # the full expansion, which we also check verbatim
-    base = verify_hall(name, icand, pe, p, budget)
-    pts = [cc_map(ClusterObject(h), model, p, budget)
+    base = verify_hall(name, icand, pe, p)
+    pts = [cc_map(ClusterObject(h), model, p)
            for h in catalog.homogeneous_points(name, p)]
     if any(x != pts[0] for x in pts):
         return VerifyReport("thm5.3", inputs, verdict="fail",
@@ -672,8 +655,7 @@ def lambda_vertex(model: ClusterModel, obj: ClusterObject):
     return tuple(out)
 
 
-def support_cone_check(name: str, obj: ClusterObject, p: int,
-                       budget=DEFAULT_BUDGET) -> VerifyReport:
+def support_cone_check(name: str, obj: ClusterObject, p: int) -> VerifyReport:
     """Support containment in the shifted cone plus the vertex-component
     monomial property, for graded members with no multiple arrows."""
     entry = catalog.get(name)
@@ -686,7 +668,7 @@ def support_cone_check(name: str, obj: ClusterObject, p: int,
     if any(entry.principal.arrow_count(s, t) > 1
            for s in range(1, model.n + 1) for t in range(1, model.n + 1)):
         return VerifyReport("prop4.3", inputs, verdict="skip", detail="multiple arrows")
-    x = cc_map(obj, model, p, budget)
+    x = cc_map(obj, model, p)
     lam_m = lambda_vertex(model, obj)
     edges = [tuple(model.exch.b[i][j] for i in range(model.n))
              for j in range(model.n)]
@@ -826,22 +808,21 @@ def leading_coefficient_is_monomial(coeffs, name: str, eps):
     return c.is_q_monomial(), best_d
 
 
-def finite_cluster_variables(name: str, p: int, bound=1, budget=DEFAULT_BUDGET):
+def finite_cluster_variables(name: str, p: int, bound=1):
     """All cluster variables of a finite-type member: images of the
     indecomposable rigid modules plus the shifted projectives."""
     entry = catalog.get(name)
     model = entry.model
     out = []
     for M in catalog.rigid_indecomposables(name, p, (bound,) * model.n):
-        out.append(((tuple(M.dims)), cc_map(ClusterObject(M), model, p, budget)))
+        out.append(((tuple(M.dims)), cc_map(ClusterObject(M), model, p)))
     for i in range(1, model.n + 1):
         d = tuple(-1 if k == i - 1 else 0 for k in range(model.n))
-        out.append((d, cc_map(ClusterObject(None, {i: 1}), model, p, budget)))
+        out.append((d, cc_map(ClusterObject(None, {i: 1}), model, p)))
     return out
 
 
-def verify_standard_monomials(name: str, p: int, box_radius: int = 2,
-                              budget=DEFAULT_BUDGET) -> list[VerifyReport]:
+def verify_standard_monomials(name: str, p: int, box_radius: int = 2) -> list[VerifyReport]:
     """Independence of the standard monomials over a box, expansion of the
     once-mutated frame variables, and the leading-monomial property of the
     finite-type cluster variables."""
@@ -886,7 +867,7 @@ def verify_standard_monomials(name: str, p: int, box_radius: int = 2,
         ok = True
         detail = ""
         count = 0
-        for d, x in finite_cluster_variables(name, p, budget=budget):
+        for d, x in finite_cluster_variables(name, p):
             try:
                 coeffs = expand_in_standard_monomials(x, name, p, box_radius + 2)
             except ExpansionError as exc:
@@ -910,7 +891,7 @@ def verify_standard_monomials(name: str, p: int, box_radius: int = 2,
 # Generic basis
 
 
-def generic_basis(name: str, p: int, box_radius: int, budget=DEFAULT_BUDGET):
+def generic_basis(name: str, p: int, box_radius: int):
     """X_d for d in the box, with an independence and integrality report."""
     entry = catalog.get(name)
     model = entry.model
@@ -918,7 +899,7 @@ def generic_basis(name: str, p: int, box_radius: int, budget=DEFAULT_BUDGET):
     elems = {}
     rng = range(-box_radius, box_radius + 1)
     for d in product(rng, repeat=model.n):
-        elems[d] = generic_variable(name, d, p, budget)
+        elems[d] = generic_variable(name, d, p)
     reports = []
     if eps is not None:
         leaders = {}
@@ -969,8 +950,7 @@ def generic_basis(name: str, p: int, box_radius: int, budget=DEFAULT_BUDGET):
 # Reflection transport
 
 
-def verify_reflection_transport(name: str, v: int, obj: ClusterObject, p: int,
-                                budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_reflection_transport(name: str, v: int, obj: ClusterObject, p: int) -> VerifyReport:
     """The value of the map commutes with the extended reflection functor at
     a source of the framed quiver, through the frame identification given by
     the matching one-step mutation."""
@@ -989,9 +969,9 @@ def verify_reflection_transport(name: str, v: int, obj: ClusterObject, p: int,
                             detail="one-step mutation is not the reflection")
     model2 = ClusterModel(refl, lam2, name=name + "'")
     obj2, _q2 = extended_coreflect(entry.principal, p, obj, v)
-    rhs_side = cc_map(obj2, model2, p, budget)
+    rhs_side = cc_map(obj2, model2, p)
     seed = QuantumSeed.initial(model, SpecializedMode(p)).mutate(v)
-    lhs = cc_map(obj, model, p, budget)
+    lhs = cc_map(obj, model, p)
     # re-express rhs through the mutated frame, shifting the v-exponent into
     # the nonnegative range where frame monomials are defined
     shift = max(0, -min((g[v - 1] for g in rhs_side.terms), default=0))
@@ -1033,12 +1013,12 @@ def sweep_bilinear(names=("a2", "a3", "kronecker", "atilde21"), samples=500, see
     return reports
 
 
-def verify_parameter_independence(name: str, p: int, budget=DEFAULT_BUDGET) -> VerifyReport:
+def verify_parameter_independence(name: str, p: int) -> VerifyReport:
     """All degree-one homogeneous points share one image under the map."""
     entry = catalog.get(name)
     model = entry.model
     pts = catalog.homogeneous_points(name, p)
-    vals = [cc_map(ClusterObject(h), model, p, budget) for h in pts]
+    vals = [cc_map(ClusterObject(h), model, p) for h in pts]
     ok = all(v == vals[0] for v in vals)
     expected = p + 1 - entry.nonhomog_count
     detail = "%d points (expected %d)" % (len(pts), expected)

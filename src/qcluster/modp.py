@@ -7,6 +7,7 @@ Python integer arithmetic.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from itertools import combinations, product
 
 
@@ -15,7 +16,12 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    """Countdown counters for the enumeration-heavy operations."""
+    """Countdown counters for the enumeration-heavy operations.
+
+    ``with Budget(...) as meter:`` makes it the active meter inside the
+    block, so every enumeration there ticks it; outside any block the work
+    is counted on DEFAULT_BUDGET, which lives as long as the process.
+    """
 
     def __init__(self, subspace_tuples=10_000_000, matrix_tuples=2_000_000,
                  hom_elements=2_000_000):
@@ -33,8 +39,22 @@ class Budget:
                 "budget %s exceeded (%d > %d)" % (key, self.used[key], self.limits[key])
             )
 
+    def __enter__(self):
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _ACTIVE.reset(self._token)
+
 
 DEFAULT_BUDGET = Budget()
+_ACTIVE: ContextVar[Budget] = ContextVar("qcluster_budget", default=DEFAULT_BUDGET)
+
+
+def meter() -> Budget:
+    """The active Budget: that of the innermost ``with`` block, else
+    DEFAULT_BUDGET."""
+    return _ACTIVE.get()
 
 
 def inv(a: int, p: int) -> int:
@@ -172,13 +192,14 @@ def span_contains(span_rref, v, p, ncols):
     return not any(v)
 
 
-def subspaces(d, k, p, budget=None):
+def subspaces(d, k, p):
     """All k-dimensional subspaces of F_p^d as canonical RREF row tuples."""
     if k < 0 or k > d:
         return
     if k == 0:
         yield ()
         return
+    budget = meter()
     for pivots in combinations(range(d), k):
         pivset = set(pivots)
         free_slots = []
@@ -187,8 +208,7 @@ def subspaces(d, k, p, budget=None):
                 if c not in pivset:
                     free_slots.append((r, c))
         for vals in product(range(p), repeat=len(free_slots)):
-            if budget is not None:
-                budget.tick("subspace_tuples")
+            budget.tick("subspace_tuples")
             mat = [[0] * d for _ in range(k)]
             for r, pc in enumerate(pivots):
                 mat[r][pc] = 1
@@ -197,7 +217,7 @@ def subspaces(d, k, p, budget=None):
             yield tuple(tuple(row) for row in mat)
 
 
-def subspaces_containing(w_rows, d, k, p, budget=None):
+def subspaces_containing(w_rows, d, k, p):
     """Canonical k-dim subspaces of F_p^d containing the span of w_rows."""
     w_rref, w_pivots = rref(w_rows, p, d) if w_rows else ((), [])
     w = len(w_rref)
@@ -208,7 +228,7 @@ def subspaces_containing(w_rows, d, k, p, budget=None):
         return
     complement = [c for c in range(d) if c not in w_pivots]
     dq = len(complement)
-    for qs in subspaces(dq, k - w, p, budget):
+    for qs in subspaces(dq, k - w, p):
         lifted = []
         for qrow in qs:
             v = [0] * d

@@ -7,7 +7,6 @@ from __future__ import annotations
 from itertools import product
 
 from . import modp
-from .modp import Budget, DEFAULT_BUDGET
 from .quiver import IceQuiver, QuiverError, euler_form_full
 
 
@@ -187,9 +186,10 @@ def _blocks_invertible(blocks, dims, p):
     return True
 
 
-def hom_elements(basis, q, M, N, budget):
+def hom_elements(basis, q, M, N):
     """Iterate all elements of the Hom space spanned by basis (skipping 0)."""
     p = M.p
+    budget = modp.meter()
     h = len(basis)
     for coeffs in product(range(p), repeat=h):
         if not any(coeffs):
@@ -209,7 +209,7 @@ def hom_elements(basis, q, M, N, budget):
         yield tuple(blocks)
 
 
-def iso_test(M: QuiverRep, N: QuiverRep, budget: Budget = DEFAULT_BUDGET) -> bool:
+def iso_test(M: QuiverRep, N: QuiverRep) -> bool:
     if M.quiver != N.quiver or M.p != N.p:
         return False
     if M.dims != N.dims:
@@ -226,40 +226,36 @@ def iso_test(M: QuiverRep, N: QuiverRep, budget: Budget = DEFAULT_BUDGET) -> boo
         return False
     if len(basis) != hom_dim(M, M):
         return False
-    for blocks in hom_elements(basis, M.quiver, M, N, budget):
+    for blocks in hom_elements(basis, M.quiver, M, N):
         if _blocks_invertible(blocks, M.dims, M.p):
             return True
     return False
 
 
-def aut_count(M: QuiverRep, budget: Budget = DEFAULT_BUDGET) -> int:
+def aut_count(M: QuiverRep) -> int:
     if M.is_zero():
         return 1
     basis = hom_basis(M, M)
     count = 0
-    for blocks in hom_elements(basis, M.quiver, M, M, budget):
+    for blocks in hom_elements(basis, M.quiver, M, M):
         if _blocks_invertible(blocks, M.dims, M.p):
             count += 1
     return count
 
 
-def end_idempotents_trivial(M: QuiverRep, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """True iff End(M) has no idempotents besides 0 and 1 (M indecomposable)."""
+def is_indecomposable(M: QuiverRep) -> bool:
+    """True iff End(M) has no idempotents besides 0 and 1."""
     if M.is_zero():
         return False
     p = M.p
     basis = hom_basis(M, M)
     idmats = tuple(modp.identity(d) for d in M.dims)
-    for blocks in hom_elements(basis, M.quiver, M, M, budget):
+    for blocks in hom_elements(basis, M.quiver, M, M):
         sq = tuple(modp.mat_mul_shaped(b, b, p, d, d)
                    for b, d in zip(blocks, M.dims))
         if sq == blocks and blocks != idmats:
             return False
     return True
-
-
-def is_indecomposable(M, budget=DEFAULT_BUDGET):
-    return end_idempotents_trivial(M, budget)
 
 
 def is_rigid(M):
@@ -270,7 +266,7 @@ def is_rigid(M):
 # Submodules, quotients, radical
 
 
-def submodules(M: QuiverRep, e, budget: Budget = DEFAULT_BUDGET):
+def submodules(M: QuiverRep, e):
     """All submodules with dimension vector e, as tuples of canonical bases.
 
     Vertices are filled in topological order so arrow closure prunes early.
@@ -301,7 +297,7 @@ def submodules(M: QuiverRep, e, budget: Budget = DEFAULT_BUDGET):
         w = modp.row_span(span_rows, M.p, M.dims[v - 1])
         if len(w) > e[v - 1]:
             return
-        for cand in modp.subspaces_containing(w, M.dims[v - 1], e[v - 1], M.p, budget):
+        for cand in modp.subspaces_containing(w, M.dims[v - 1], e[v - 1], M.p):
             chosen[v] = cand
             fill(pos + 1)
         del chosen[v]
@@ -310,15 +306,15 @@ def submodules(M: QuiverRep, e, budget: Budget = DEFAULT_BUDGET):
     return results
 
 
-def grassmannian_count(M, e, budget=DEFAULT_BUDGET) -> int:
-    return len(submodules(M, e, budget))
+def grassmannian_count(M, e) -> int:
+    return len(submodules(M, e))
 
 
-def all_grassmannian_counts(M, budget=DEFAULT_BUDGET):
+def all_grassmannian_counts(M):
     counts = {}
     ranges = [range(d + 1) for d in M.dims]
     for e in product(*ranges):
-        c = grassmannian_count(M, e, budget)
+        c = grassmannian_count(M, e)
         if c:
             counts[tuple(e)] = c
     return counts
@@ -636,7 +632,7 @@ def tau(M: QuiverRep) -> QuiverRep:
     expected = coxeter_transform(M.quiver, M.dims)
     if tuple(out.dims) != expected:
         bad = [i for i in range(1, M.quiver.m + 1)
-               if _splits_off(M, projective(M.quiver, M.p, i))]
+               if split_complement(M, projective(M.quiver, M.p, i)) is not None]
         raise ProjectiveSummandError(
             "module has projective summand(s) %s" % (bad or "?"))
     return out
@@ -666,7 +662,7 @@ def tau_inverse(M: QuiverRep) -> QuiverRep:
     return QuiverRep(M.quiver, M.p, out.dims, out.mats)
 
 
-def split_complement(M: QuiverRep, X: QuiverRep, budget=DEFAULT_BUDGET):
+def split_complement(M: QuiverRep, X: QuiverRep):
     """A complement of one split copy of X inside M, or None.
 
     Searches sections f: X -> M admitting a retraction g with g f = id; the
@@ -678,7 +674,7 @@ def split_complement(M: QuiverRep, X: QuiverRep, budget=DEFAULT_BUDGET):
     if not fb or not hom_basis(M, X):
         return None
     p = M.p
-    for f in hom_elements(fb, M.quiver, X, M, budget):
+    for f in hom_elements(fb, M.quiver, X, M):
         # solve for g with g f = id: linear in g
         rows = []
         rhs = []
@@ -730,11 +726,7 @@ def split_complement(M: QuiverRep, X: QuiverRep, budget=DEFAULT_BUDGET):
     return None
 
 
-def _splits_off(M: QuiverRep, X: QuiverRep, budget=DEFAULT_BUDGET) -> bool:
-    return split_complement(M, X, budget) is not None
-
-
-def split_summands(M: QuiverRep, candidates, budget=DEFAULT_BUDGET):
+def split_summands(M: QuiverRep, candidates):
     """Greedily split copies of the candidate reps off M.
 
     Returns (multiplicities, remainder) where multiplicities is a list of
@@ -748,7 +740,7 @@ def split_summands(M: QuiverRep, candidates, budget=DEFAULT_BUDGET):
         for i, X in enumerate(candidates):
             if X.is_zero():
                 continue
-            comp = split_complement(rest, X, budget)
+            comp = split_complement(rest, X)
             if comp is not None:
                 rest = comp
                 counts[i] += 1

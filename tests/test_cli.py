@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from qcluster import cli
+from qcluster import catalog, cli
 
 FIX = cli.FIXTURE_ROOT
 
@@ -53,12 +54,48 @@ def test_budget_exit(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_budget_limits_reach_every_job(capsys, jobs):
-    # the a3 unit alone enumerates more than 50 matrix tuples
-    rc = run_cli("--budget-orbits", "50", "--jobs", jobs, "verify", "thm3.3")
+# the a3 unit of thm3.3 alone enumerates more than 50 matrix tuples; the
+# other statements enumerate iso classes inside the catalog helpers
+BUDGET_CASES = [pytest.param(jobs, "50", "thm3.3", id=jobs) for jobs in ("1", "2")] + [
+    pytest.param(jobs, "1", statement, id="%s-%s" % (jobs, statement))
+    for jobs in ("1", "2")
+    for statement in ("lem5.2", "prop4.5", "prop6.1", "prop6.2", "conj6.4", "basis")]
+
+
+@pytest.mark.parametrize("jobs, orbits, statement", BUDGET_CASES)
+def test_budget_limits_reach_every_job(capsys, jobs, orbits, statement):
+    rc = run_cli("--budget-orbits", orbits, "--jobs", jobs, "verify", statement)
     assert rc == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_budget_exit_does_not_depend_on_jobs(capsys):
+    # the atilde21 unit of basis needs 91 hom elements, the kronecker one fewer
+    seen = []
+    for jobs in ("1", "2"):
+        rc = run_cli("--budget-homs", "80", "--jobs", jobs, "verify", "basis", "--json")
+        captured = capsys.readouterr()
+        seen.append((rc, captured.out, captured.err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 3
+
+
+def test_class_stores_are_freed_with_their_call(monkeypatch, capsys):
+    made = []
+    store_for = catalog.store_for
+
+    def recording_store_for(name, p):
+        store = store_for(name, p)
+        made.append(weakref.ref(store))
+        return store
+
+    monkeypatch.setattr(catalog, "store_for", recording_store_for)
+    for _ in range(3):
+        seen = len(made)
+        assert run_cli("verify", "thm3.3", "--quiver", "a2") == 0
+        assert len(made) > seen
+        assert [ref for ref in made if ref() is not None] == []
+    capsys.readouterr()
 
 
 def test_mutate_prints_seed(capsys):

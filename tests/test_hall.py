@@ -86,9 +86,10 @@ def test_a2_counts():
 
 
 def test_budget_guard():
-    st = ClassStore(KRON, 3, budget=Budget(matrix_tuples=5))
-    with pytest.raises(modp.BudgetExceededError):
+    st = ClassStore(KRON, 3)
+    with Budget(matrix_tuples=5) as meter, pytest.raises(modp.BudgetExceededError):
         st.iso_classes((1, 1))  # needs p**2 = 9 matrix tuples
+    assert meter.used["matrix_tuples"] == 6
 
 
 def test_entry_budget_guard():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads."""
+"""Source hygiene: no module of the package imports a name it never reads,
+and no function takes a budget: enumerations tick the active ``modp`` meter."""
 
 import ast
 import os
@@ -9,6 +10,11 @@ import qcluster
 
 PKG = os.path.dirname(qcluster.__file__)
 MODULES = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+
+
+def read(module):
+    with open(os.path.join(PKG, module)) as fh:
+        return fh.read()
 
 
 def unused_imports(source: str):
@@ -34,5 +40,42 @@ def test_unused_import_is_detected():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_imported_name(module):
-    with open(os.path.join(PKG, module)) as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(read(module)) == []
+
+
+def budget_parameters(source: str):
+    """(line, name) of each function that takes a parameter named budget."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(x is not None and x.arg == "budget" for x in params):
+                out.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return out
+
+
+def default_budget_lines(source: str):
+    """Lines that name DEFAULT_BUDGET, as a name, an attribute or an import."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == "DEFAULT_BUDGET"
+                   or isinstance(node, ast.Attribute) and node.attr == "DEFAULT_BUDGET"
+                   or isinstance(node, ast.alias) and node.name == "DEFAULT_BUDGET"})
+
+
+def test_budget_threading_is_detected():
+    src = ("from .modp import DEFAULT_BUDGET\n"
+           "def f(x, budget=DEFAULT_BUDGET):\n"
+           "    return modp.DEFAULT_BUDGET, lambda *, budget: 0\n")
+    assert budget_parameters(src) == [(2, "f"), (3, "<lambda>")]
+    assert default_budget_lines(src) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_budget(module):
+    assert budget_parameters(read(module)) == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "modp.py"])
+def test_default_budget_is_named_only_in_modp(module):
+    assert default_budget_lines(read(module)) == []

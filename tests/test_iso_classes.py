@@ -19,6 +19,14 @@ PRIMES = (2, 3)
 MAX_ENTRIES = 8
 
 
+@pytest.fixture(autouse=True)
+def meter():
+    """A fresh meter for each test, so the module's enumerations stay off
+    the process-wide default."""
+    with Budget() as meter:
+        yield meter
+
+
 def sweep_dims(store):
     return [dims for dims in dim_vectors_upto(store.quiver.m, bound_total=4)
             if store.matrix_entry_count(dims) <= MAX_ENTRIES]
@@ -37,13 +45,13 @@ def brute_force_classes(store, dims):
                          for i in range(rows)]
             pos += rows * cols
         cand = R.QuiverRep(q, p, dims, mats)
-        if not any(R.iso_test(cand, known, store.budget) for known in reps):
+        if not any(R.iso_test(cand, known) for known in reps):
             reps.append(cand)
     return reps
 
 
 def fresh_store(name, p):
-    return ClassStore(catalog.get(name).principal, p, Budget())
+    return ClassStore(catalog.get(name).principal, p)
 
 
 def test_sweep_representatives_are_pinned():
@@ -82,7 +90,7 @@ def test_orbit_mass_formula():
                 if any(p ** R.hom_dim(M, M) > 4096 for M in reps):
                     continue
                 mass = sum(Fraction(store.group_order(dims),
-                                    R.aut_count(M, store.budget)) for M in reps)
+                                    R.aut_count(M)) for M in reps)
                 assert mass == p ** store.matrix_entry_count(dims), (name, p, dims)
                 checked += 1
     assert checked == 138
@@ -139,14 +147,14 @@ def test_classify_random_conjugates(name, dims):
 
 def test_classify_rejects_reordered_quiver():
     q = catalog.get("a3").principal
-    store = ClassStore(q, 3, Budget())
+    store = ClassStore(q, 3)
     other = IceQuiver(q.m, q.n, reversed(q.arrows))
     M = R.simple(other, 3, 1)
     with pytest.raises(R.RepError):
         store.classify(M)
 
 
-def test_matrix_tuples_ticked_once_per_tuple():
+def test_matrix_tuples_ticked_once_per_tuple(meter):
     store = fresh_store("kronecker", 3)
     store.iso_classes((2, 2))
-    assert store.budget.used["matrix_tuples"] == 3 ** 8
+    assert meter.used["matrix_tuples"] == 3 ** 8
