@@ -301,10 +301,7 @@ def _rigid_sum(store, cands, dims):
     parts = search(tuple(dims), 0, [])
     if parts is None:
         return None
-    out = R.zero_rep(store.quiver, store.p)
-    for M in parts:
-        out = R.direct_sum(out, M)
-    return out
+    return R.direct_sum(R.zero_rep(store.quiver, store.p), *parts)
 
 
 def family_for(name: str, module_name: str) -> RepFamily:

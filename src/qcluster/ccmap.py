@@ -160,21 +160,16 @@ def extended_reflect(quiver, p: int, obj: ClusterObject, v: int):
     """
     refl_quiver = quiver.reflect(v)
     new_shifts = {j: k for j, k in obj.shifts.items() if j != v}
-    simple_mult_from_shift = obj.shifts.get(v, 0)  # P_v[1] -> S_v
+    summands = [R.simple(refl_quiver, p, v)] * obj.shifts.get(v, 0)  # P_v[1] -> S_v
     module = obj.module
-    if module is None or module.is_zero():
-        refl_mod = None
-        smult = 0
-    else:
+    if module is not None and not module.is_zero():
         refl_mod, smult = R.bgp_reflect(module, v)
         if refl_mod.quiver != refl_quiver:
             raise CCError("module does not live over the given quiver")
-    if smult:
-        new_shifts[v] = new_shifts.get(v, 0) + smult  # S_v -> P_v[1]
-    if simple_mult_from_shift:
-        add = R.simple(refl_quiver, p, v)
-        for _ in range(simple_mult_from_shift):
-            refl_mod = add if refl_mod is None else R.direct_sum(refl_mod, add)
+        if smult:
+            new_shifts[v] = new_shifts.get(v, 0) + smult  # S_v -> P_v[1]
+        summands.insert(0, refl_mod)
+    refl_mod = R.direct_sum(*summands) if summands else None
     return ClusterObject(refl_mod, new_shifts), refl_quiver
 
 

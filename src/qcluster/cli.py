@@ -16,7 +16,7 @@ from . import catalog, harness
 from . import rep as R
 from .ccmap import ClusterObject, cc_map, cc_map_formal
 from .families import RepFamily
-from .modp import Budget, BudgetExceededError
+from .modp import Budget, BudgetExceededError, is_prime
 from .quiver import IceQuiver, QuiverError
 from .scalars import FORMAL, SpecializedMode
 from .seeds import QuantumSeed
@@ -137,6 +137,8 @@ def parse_rep(text: str, quiver_dir: str | None = None, prime: int | None = None
         return RepFamily(principal, dims, mats), framed
     if p in (None, 0):
         raise InputError("rep file carries no prime; pass --prime")
+    if not is_prime(p):
+        raise InputError("p=%d is not a prime" % p)
     conv = {k: tuple(tuple(int(x) for x in row) for row in v)
             for k, v in mats.items()}
     return R.QuiverRep(principal, p, dims, conv), framed
@@ -372,9 +374,7 @@ AFFINE_STATEMENTS = ("lem5.2", "lem5.4", "prop6.1", "prop6.2", "conj6.4", "basis
 
 
 def cmd_verify(args) -> int:
-    primes = [int(x) for x in args.prime.split(",")] if args.prime else [3]
-    if any(p < 2 for p in primes):
-        raise InputError("primes must be >= 2")
+    primes = args.prime or [3]
     quivers = tuple(args.quiver.split(",")) if args.quiver else None
     if 2 in primes and args.statement in AFFINE_STATEMENTS:
         print("warning: the affine basis statements assume a field with more "
@@ -385,6 +385,30 @@ def cmd_verify(args) -> int:
     return emit_reports(reports, args.json)
 
 
+def prime(text: str) -> int:
+    """argparse type of a --prime value."""
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError("%d is not a prime" % p)
+    return p
+
+
+def prime_list(text: str) -> list:
+    """argparse type of verify's comma list of primes."""
+    return [prime(x) for x in text.split(",")]
+
+
+def at_least(low: int):
+    """argparse type of an integer option with lower bound low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError("%d is less than %d" % (n, low))
+        return n
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="qcluster",
@@ -392,17 +416,17 @@ def build_parser():
                     "ice quivers: the quantum Caldero-Chapoton map, seed "
                     "mutation, and mechanical verification of the "
                     "multiplication and basis identities.")
-    ap.add_argument("--budget-subspaces", type=int, default=10_000_000)
-    ap.add_argument("--budget-orbits", type=int, default=2_000_000)
-    ap.add_argument("--budget-homs", type=int, default=2_000_000)
-    ap.add_argument("--jobs", type=int, default=1,
+    ap.add_argument("--budget-subspaces", type=at_least(0), default=10_000_000)
+    ap.add_argument("--budget-orbits", type=at_least(0), default=2_000_000)
+    ap.add_argument("--budget-homs", type=at_least(0), default=2_000_000)
+    ap.add_argument("--jobs", type=at_least(1), default=1,
                     help="worker processes for independent verify units")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("ccmap", help="value of the map on a module plus shifts")
     c.add_argument("--quiver", required=True)
     c.add_argument("--rep", required=True)
-    c.add_argument("--prime", type=int, default=3)
+    c.add_argument("--prime", type=prime, default=3)
     c.add_argument("--shift", help="comma list of shifted projective indices")
     c.add_argument("--formal", action="store_true")
     c.add_argument("--json", action="store_true")
@@ -412,21 +436,21 @@ def build_parser():
     c.add_argument("--quiver", required=True)
     c.add_argument("--rep", required=True)
     c.add_argument("--e", required=True)
-    c.add_argument("--prime", type=int, default=3)
+    c.add_argument("--prime", type=prime, default=3)
     c.set_defaults(func=cmd_grass)
 
     c = sub.add_parser("hall", help="product-expansion identity for one pair")
     c.add_argument("--quiver", required=True)
     c.add_argument("--m", required=True)
     c.add_argument("--n", required=True)
-    c.add_argument("--prime", type=int, default=3)
+    c.add_argument("--prime", type=prime, default=3)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_hall)
 
     c = sub.add_parser("tau", help="Auslander-Reiten translate of a module")
     c.add_argument("--quiver", required=True)
     c.add_argument("--rep", required=True)
-    c.add_argument("--prime", type=int, default=3)
+    c.add_argument("--prime", type=prime, default=3)
     c.add_argument("--framed", action="store_true",
                    help="translate over the framed quiver")
     c.set_defaults(func=cmd_tau)
@@ -435,30 +459,32 @@ def build_parser():
     c.add_argument("--quiver", required=True)
     c.add_argument("--rep", required=True)
     c.add_argument("--vertex", type=int, required=True)
-    c.add_argument("--prime", type=int, default=3)
+    c.add_argument("--prime", type=prime, default=3)
     c.set_defaults(func=cmd_reflect)
 
     c = sub.add_parser("mutate", help="mutate the initial seed along a sequence")
     c.add_argument("--quiver", required=True)
     c.add_argument("--seq", default="")
-    c.add_argument("--prime", type=int, default=0,
+    c.add_argument("--prime", type=prime,
                    help="specialize at p (default: formal)")
     c.set_defaults(func=cmd_mutate)
 
     c = sub.add_parser("verify", help="verify a statement id")
     c.add_argument("statement", choices=VERIFY_IDS)
     c.add_argument("--quiver", help="comma list of catalog quivers")
-    c.add_argument("--prime", help="comma list of primes (default 3)")
+    c.add_argument("--prime", type=prime_list,
+                   help="comma list of primes (default 3)")
     c.add_argument("--all-pairs", action="store_true",
-                   help="pair sweeps use the full desk bounds instead of the "
-                        "quick subset")
+                   help="thm3.3, thm3.5 and thm3.8 sweep the full desk bounds "
+                        "instead of the quick subset; green always sweeps the "
+                        "quick subset and prop4.3 total dimension <= 3")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("basis", help="generic basis elements over a box")
     c.add_argument("--quiver", required=True)
-    c.add_argument("--prime", type=int, default=3)
-    c.add_argument("--box", type=int, default=1)
+    c.add_argument("--prime", type=prime, default=3)
+    c.add_argument("--box", type=at_least(0), default=1)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_basis)
     return ap

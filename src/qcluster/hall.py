@@ -24,6 +24,8 @@ MAX_ENTRIES_P5 = 8      # for p >= 5
 
 
 def _primitive_root(p):
+    if not modp.is_prime(p):
+        raise ValueError("%d is not a prime" % p)
     return next(g for g in range(1, p)
                 if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
 

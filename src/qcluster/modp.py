@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from itertools import combinations, product
+from math import isqrt
 
 
 class BudgetExceededError(RuntimeError):
@@ -55,6 +56,10 @@ def meter() -> Budget:
     """The active Budget: that of the innermost ``with`` block, else
     DEFAULT_BUDGET."""
     return _ACTIVE.get()
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def inv(a: int, p: int) -> int:

@@ -232,12 +232,6 @@ def pairing(lam, u, v) -> int:
                for i in range(len(lam)) for j in range(len(lam)) if u[i] and v[j])
 
 
-def render_matrix(mat) -> str:
-    """Row-major bracketed rows, e.g. [[0,2],[-2,0],[1,0],[0,1]]."""
-    return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"
-                          for row in mat) + "]"
-
-
 def check_compatible(lam, btilde):
     """Return the diagonal of B^T Lam = (D|0) or raise CompatibilityError."""
     m = len(btilde)

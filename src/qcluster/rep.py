@@ -72,23 +72,6 @@ def from_dict(quiver, p, dims_by_vertex, mats_by_arrow):
     return QuiverRep(quiver, p, dims, mats)
 
 
-def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
-    if a.quiver != b.quiver or a.p != b.p:
-        raise RepError("direct sum needs matching quiver and prime")
-    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = {}
-    for idx, (s, t) in enumerate(a.quiver.arrows):
-        am, bm = a.mats[idx], b.mats[idx]
-        rows = []
-        ca, cb = a.dims[s - 1], b.dims[s - 1]
-        for r in am:
-            rows.append(tuple(r) + (0,) * cb)
-        for r in bm:
-            rows.append((0,) * ca + tuple(r))
-        mats[idx] = tuple(rows)
-    return QuiverRep(a.quiver, a.p, dims, mats)
-
-
 def extend_to(rep: QuiverRep, framed: IceQuiver) -> QuiverRep:
     """View a representation of the principal part as one of the framed quiver."""
     if rep.quiver.m == framed.m:
@@ -186,27 +169,14 @@ def _blocks_invertible(blocks, dims, p):
     return True
 
 
-def hom_elements(basis, q, M, N):
+def hom_elements(basis, M, N):
     """Iterate all elements of the Hom space spanned by basis (skipping 0)."""
-    p = M.p
     budget = modp.meter()
-    h = len(basis)
-    for coeffs in product(range(p), repeat=h):
+    for coeffs in product(range(M.p), repeat=len(basis)):
         if not any(coeffs):
             continue
         budget.tick("hom_elements")
-        blocks = []
-        for v in range(q.m):
-            r, c = N.dims[v], M.dims[v]
-            acc = [[0] * c for _ in range(r)]
-            for cf, elem in zip(coeffs, basis):
-                if cf:
-                    blk = elem[v]
-                    for i in range(r):
-                        for j in range(c):
-                            acc[i][j] += cf * blk[i][j]
-            blocks.append(tuple(tuple(x % p for x in row) for row in acc))
-        yield tuple(blocks)
+        yield combine(coeffs, basis, M, N)
 
 
 def iso_test(M: QuiverRep, N: QuiverRep) -> bool:
@@ -226,7 +196,7 @@ def iso_test(M: QuiverRep, N: QuiverRep) -> bool:
         return False
     if len(basis) != hom_dim(M, M):
         return False
-    for blocks in hom_elements(basis, M.quiver, M, N):
+    for blocks in hom_elements(basis, M, N):
         if _blocks_invertible(blocks, M.dims, M.p):
             return True
     return False
@@ -237,7 +207,7 @@ def aut_count(M: QuiverRep) -> int:
         return 1
     basis = hom_basis(M, M)
     count = 0
-    for blocks in hom_elements(basis, M.quiver, M, M):
+    for blocks in hom_elements(basis, M, M):
         if _blocks_invertible(blocks, M.dims, M.p):
             count += 1
     return count
@@ -250,7 +220,7 @@ def is_indecomposable(M: QuiverRep) -> bool:
     p = M.p
     basis = hom_basis(M, M)
     idmats = tuple(modp.identity(d) for d in M.dims)
-    for blocks in hom_elements(basis, M.quiver, M, M):
+    for blocks in hom_elements(basis, M, M):
         sq = tuple(modp.mat_mul_shaped(b, b, p, d, d)
                    for b, d in zip(blocks, M.dims))
         if sq == blocks and blocks != idmats:
@@ -375,6 +345,62 @@ def quotient_rep(M: QuiverRep, bases) -> QuiverRep:
             cols.append(reduce_vec(t - 1, img))
         mats[idx] = modp.transpose(cols) if cols else modp.zeros(dims[t - 1], dims[s - 1])
     return QuiverRep(q, p, dims, mats)
+
+
+# ---------------------------------------------------------------------------
+# Module maps and direct sums.  A module map f: M -> N is the tuple of vertex
+# blocks that hom_basis returns, f[v] the N_v x M_v matrix at vertex v + 1.
+
+
+def combine(coeffs, basis, M, N):
+    """The module map sum_k coeffs[k] * basis[k]: M -> N."""
+    p = M.p
+    blocks = []
+    for v in range(M.quiver.m):
+        r, c = N.dims[v], M.dims[v]
+        acc = [[0] * c for _ in range(r)]
+        for cf, elem in zip(coeffs, basis):
+            if cf:
+                blk = elem[v]
+                for i in range(r):
+                    for j in range(c):
+                        acc[i][j] += cf * blk[i][j]
+        blocks.append(tuple(tuple(x % p for x in row) for row in acc))
+    return tuple(blocks)
+
+
+def kernel(f, M: QuiverRep):
+    """(ker f as a subrep of M, its vertexwise canonical bases) for f: M -> N."""
+    bases = tuple(modp.row_span(modp.nullspace(f[v], M.p, d), M.p, d)
+                  for v, d in enumerate(M.dims))
+    return sub_rep(M, bases), bases
+
+
+def cokernel(f, N: QuiverRep) -> QuiverRep:
+    """coker f as a quotient of N for f: M -> N."""
+    bases = tuple(modp.row_span(modp.transpose(f[v]), N.p, d)
+                  for v, d in enumerate(N.dims))
+    return quotient_rep(N, bases)
+
+
+def direct_sum(first: QuiverRep, *rest: QuiverRep) -> QuiverRep:
+    """The direct sum of the summands in order, block diagonal on every arrow."""
+    summands = (first,) + rest
+    if any(X.quiver != first.quiver or X.p != first.p for X in rest):
+        raise RepError("direct sum needs matching quiver and prime")
+    dims = tuple(map(sum, zip(*(X.dims for X in summands))))
+    mats = {}
+    for idx, (s, _t) in enumerate(first.quiver.arrows):
+        rows = []
+        before = 0
+        for X in summands:
+            width = X.dims[s - 1]
+            after = dims[s - 1] - before - width
+            rows.extend((0,) * before + tuple(r) + (0,) * after
+                        for r in X.mats[idx])
+            before += width
+        mats[idx] = tuple(rows)
+    return QuiverRep(first.quiver, first.p, dims, mats)
 
 
 def radical_bases(M: QuiverRep):
@@ -543,7 +569,7 @@ def min_proj_presentation(M: QuiverRep):
             images0.append(vec)
     p0 = ProjData(q, p, gens0)
     # pi: P0 -> M, column for basis (g, seq): path matrix applied to image
-    pi = {}
+    pi = []
     for v in range(1, q.m + 1):
         cols = []
         for (g, seq) in p0.basis[v]:
@@ -552,14 +578,8 @@ def min_proj_presentation(M: QuiverRep):
                 mat = path_matrix(M, seq)
                 vec = modp.mat_vec(mat, vec, p)
             cols.append(vec)
-        pi[v] = modp.transpose(cols) if cols else modp.zeros(M.dims[v - 1], 0)
-    p0rep = p0.rep()
-    kernel_bases = []
-    for v in range(1, q.m + 1):
-        A = pi[v]
-        ker = modp.nullspace(A, p, len(p0.basis[v])) if len(p0.basis[v]) else []
-        kernel_bases.append(modp.row_span(ker, p, len(p0.basis[v])))
-    K = sub_rep(p0rep, kernel_bases)
+        pi.append(modp.transpose(cols) if cols else modp.zeros(M.dims[v - 1], 0))
+    K, kernel_bases = kernel(pi, p0.rep())
     klifts = _top_lifts(K)
     gens1 = []
     kimages = []  # generator images inside P0 coordinates
@@ -596,7 +616,7 @@ def nakayama_kernel(p1: ProjData, p0: ProjData, h):
     qop = q.op()
     i1 = ProjData(qop, p, p1.gens)
     i0 = ProjData(qop, p, p0.gens)
-    mats = {}
+    nu = []
     for v in range(1, q.m + 1):
         rows = len(i0.basis[v])
         cols = len(i1.basis[v])
@@ -613,13 +633,8 @@ def nakayama_kernel(p1: ProjData, p0: ProjData, h):
                         lab = (g0, seq[len(front):])
                         if lab in i0.index[v]:
                             mat[i0.index[v][lab]][j] = (mat[i0.index[v][lab]][j] + coeff) % p
-        mats[v] = tuple(tuple(r) for r in mat)
-    i1rep = op_rep(i1.rep())
-    kernel_bases = []
-    for v in range(1, q.m + 1):
-        ker = modp.nullspace(mats[v], p, len(i1.basis[v])) if len(i1.basis[v]) else []
-        kernel_bases.append(modp.row_span(ker, p, len(i1.basis[v])))
-    return sub_rep(i1rep, kernel_bases)
+        nu.append(tuple(tuple(r) for r in mat))
+    return kernel(nu, op_rep(i1.rep()))[0]
 
 
 def tau(M: QuiverRep) -> QuiverRep:
@@ -665,64 +680,26 @@ def tau_inverse(M: QuiverRep) -> QuiverRep:
 def split_complement(M: QuiverRep, X: QuiverRep):
     """A complement of one split copy of X inside M, or None.
 
-    Searches sections f: X -> M admitting a retraction g with g f = id; the
+    Walks the sections f: X -> M and looks for a retraction g in Hom(M, X)
+    with g f = id, solved for g's coordinates in hom_basis(M, X); the
     complement is then the kernel of g.
     """
     if X.is_zero() or any(x > d for x, d in zip(X.dims, M.dims)):
         return None
     fb = hom_basis(X, M)
-    if not fb or not hom_basis(M, X):
+    gb = hom_basis(M, X) if fb else []
+    if not gb:
         return None
     p = M.p
-    for f in hom_elements(fb, M.quiver, X, M):
-        # solve for g with g f = id: linear in g
-        rows = []
-        rhs = []
-        goff = []
-        total = 0
-        for v in range(M.quiver.m):
-            goff.append(total)
-            total += X.dims[v] * M.dims[v]
-        for v in range(M.quiver.m):
-            dx, dm = X.dims[v], M.dims[v]
-            for i in range(dx):
-                for j in range(dx):
-                    row = [0] * total
-                    for k in range(dm):
-                        if f[v][k][j]:
-                            row[goff[v] + i * dm + k] += f[v][k][j]
-                    rows.append(tuple(x % p for x in row))
-                    rhs.append(1 if i == j else 0)
-        # g must also be a module map: append the intertwiner equations
-        for idx, (s, t) in enumerate(M.quiver.arrows):
-            dxs, dxt = X.dims[s - 1], X.dims[t - 1]
-            dms, dmt = M.dims[s - 1], M.dims[t - 1]
-            A = M.mats[idx]
-            B = X.mats[idx]
-            for i in range(dxt):
-                for jj in range(dms):
-                    row = [0] * total
-                    for k in range(dmt):
-                        if A[k][jj]:
-                            row[goff[t - 1] + i * dmt + k] += A[k][jj]
-                    for k in range(dxs):
-                        if B[i][k]:
-                            row[goff[s - 1] + k * dms + jj] -= B[i][k]
-                    rows.append(tuple(x % p for x in row))
-                    rhs.append(0)
-        sol = modp.solve(rows, rhs, p, total)
-        if sol is None:
-            continue
-        blocks = []
-        for v in range(M.quiver.m):
-            dx, dm = X.dims[v], M.dims[v]
-            blocks.append(tuple(tuple(sol[goff[v] + i * dm + k] for k in range(dm))
-                                for i in range(dx)))
-        ker_bases = []
-        for v in range(M.quiver.m):
-            ker = (modp.nullspace(blocks[v], p, M.dims[v]) if M.dims[v] else [])
-            ker_bases.append(modp.row_span(ker, p, M.dims[v]))
-        return sub_rep(M, tuple(ker_bases))
+    ident = [x for d in X.dims for row in modp.identity(d) for x in row]
+    for f in hom_elements(fb, X, M):
+        # column k holds the entries of gb[k] f, vertex by vertex
+        cols = [[x for v, d in enumerate(X.dims)
+                 for row in modp.mat_mul_shaped(g[v], f[v], p, d, d) for x in row]
+                for g in gb]
+        coeffs = modp.solve(modp.transpose(cols), ident, p, len(gb))
+        if coeffs is not None:
+            return kernel(combine(coeffs, gb, M, X), M)[0]
     return None
 
 

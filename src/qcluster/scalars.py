@@ -42,9 +42,6 @@ class FormalScalar:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_one(self):
-        return self.terms == {0: 1}
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = FormalScalar.from_int(other)
@@ -206,9 +203,6 @@ class SpecScalar:
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
-
-    def is_one(self):
-        return self.a == 1 and self.b == 0
 
     def _coerce(self, other):
         if isinstance(other, int):

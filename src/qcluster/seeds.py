@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import catalog
 from .ccmap import ClusterObject, cc_map
-from .quiver import ClusterModel, check_compatible
+from .quiver import ClusterModel, check_compatible, pairing
 from .rep import simple
 from .scalars import FORMAL, SpecializedMode, qbinom, specialize
 from .torus import ToricElement, div_right
@@ -85,10 +85,7 @@ class QuantumSeed:
         return self.model.torus(self.mode)
 
     def pairing(self, u, v) -> int:
-        lam = self.lam
-        return sum(u[i] * lam[i][j] * v[j]
-                   for i in range(len(lam)) for j in range(len(lam))
-                   if u[i] and v[j])
+        return pairing(self.lam, u, v)
 
     def frame_monomial(self, c) -> ToricElement:
         """The bar-invariant normal-ordered product of frame variables.

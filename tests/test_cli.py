@@ -218,3 +218,44 @@ def test_hall_rep_over_reordered_quiver_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "error: classify needs a representation over this store's quiver" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_non_prime_in_verify_list_exits_2(capsys, jobs):
+    rc = run_cli("--jobs", jobs, "verify", "thm3.3", "--quiver", "a2", "--prime", "4,3")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "4 is not a prime" in captured.err
+
+
+def test_basis_non_prime_exits_2_without_traceback():
+    proc = subprocess.run([sys.executable, "-m", "qcluster.cli", "basis",
+                           "--quiver", "kronecker", "--prime", "4"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "4 is not a prime" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_rep_file_non_prime_exits_2(tmp_path, capsys):
+    path = tmp_path / "p4.rep"
+    path.write_text("rep p=4 quiver=a2\ndims 0 1\nmat 2 1\n")
+    rc = run_cli("tau", "--quiver", "a2", "--rep", str(path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "p=4 is not a prime" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--jobs", "0", "verify", "lem5.4"], "0 is less than 1"),
+    (["--jobs", "-1", "verify", "lem5.4"], "-1 is less than 1"),
+    (["basis", "--quiver", "kronecker", "--box", "-1"], "-1 is less than 0"),
+    (["--budget-homs", "-1", "verify", "lem5.4"], "-1 is less than 0"),
+])
+def test_out_of_range_counts_exit_2(capsys, argv, message):
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err

@@ -104,3 +104,12 @@ def test_dim_vectors_upto():
     assert (1, 0) in vs and (1, 1) in vs and (0, 2) in vs
     assert (2, 2) not in vs
     assert all(any(v) for v in vs)
+
+
+def test_primitive_root_needs_a_prime():
+    from qcluster.hall import _primitive_root
+    assert [_primitive_root(p) for p in (2, 3, 5, 7)] == [1, 2, 2, 3]
+    for n in (0, 1, 4, 9):
+        with pytest.raises(ValueError, match="%d is not a prime" % n):
+            _primitive_root(n)
+    assert [n for n in range(30) if modp.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -1,8 +1,12 @@
 """Source hygiene: no module of the package imports a name it never reads,
-and no function takes a budget: enumerations tick the active ``modp`` meter."""
+no function takes a budget (enumerations tick the active ``modp`` meter), and
+every function and class the package defines is named somewhere else in
+src/, tests/ or bench/."""
 
 import ast
 import os
+import re
+from collections import Counter
 
 import pytest
 
@@ -79,3 +83,46 @@ def test_no_function_takes_a_budget(module):
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "modp.py"])
 def test_default_budget_is_named_only_in_modp(module):
     assert default_budget_lines(read(module)) == []
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TREES = ("src", "tests", "bench")
+
+
+def definitions(source: str):
+    """Names of the functions and classes a module defines, one entry per
+    definition, dunders aside."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def unnamed(defined, sources):
+    """The defined names that no source names beyond their own definitions."""
+    words = Counter(w for s in sources for w in re.findall(r"\w+", s))
+    defs = Counter(n for s in sources for n in definitions(s))
+    return sorted(n for n in set(defined) if words[n] <= defs[n])
+
+
+def tree_sources():
+    out = []
+    for tree in TREES:
+        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, tree)):
+            for f in files:
+                if f.endswith(".py"):
+                    with open(os.path.join(dirpath, f)) as fh:
+                        out.append(fh.read())
+    return out
+
+
+def test_unnamed_definition_is_detected():
+    lib = "def used():\n    pass\n\nclass Orphan:\n    def helper(self):\n        pass\n"
+    caller = "used()  # and helper, by name\n"
+    assert unnamed(definitions(lib), [lib, caller]) == ["Orphan"]
+    twice = "def f():\n    pass\n\nclass C:\n    def f(self):\n        pass\n"
+    assert unnamed(definitions(twice), [twice]) == ["C", "f"]
+
+
+def test_every_definition_is_named_elsewhere():
+    defined = {n for m in MODULES for n in definitions(read(m))}
+    assert unnamed(defined, tree_sources()) == []
