@@ -63,6 +63,8 @@ def is_prime(n: int) -> bool:
 
 
 def inv(a: int, p: int) -> int:
+    """a^(-1) mod p by Fermat, so p must be prime: SpecializedMode and
+    QuiverRep refuse any other p."""
     return pow(a, p - 2, p)
 
 

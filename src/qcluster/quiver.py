@@ -316,9 +316,12 @@ def _integer_solve(rows, rhs, nunk):
 def solve_lambda(btilde):
     """A deterministic skew-symmetric integer lam with lam * (-btilde) = itilde.
 
-    Among all integer solutions the one whose strictly-lower-triangular entry
-    vector is lexicographically smallest in absolute value (nonnegative on
-    ties) is returned.
+    The unknowns are the strictly-lower-triangular entries.  When the integer
+    solutions form x0 + span(kernel) with kernel rank r <= 4, the solutions
+    with kernel coefficients in the window [-12, 12]^r are searched and the
+    one whose entry vector is lexicographically smallest in absolute value
+    (nonnegative on ties) is returned; smaller solutions outside the window
+    are not seen.  For r > 4 the particular solution x0 is returned as it is.
     """
     m = len(btilde)
     n = len(btilde[0]) if btilde else 0

@@ -24,6 +24,8 @@ class QuiverRep:
     __slots__ = ("quiver", "p", "dims", "mats", "_key")
 
     def __init__(self, quiver: IceQuiver, p: int, dims, mats):
+        if not modp.is_prime(p):
+            raise RepError("p=%d is not a prime" % p)
         self.quiver = quiver
         self.p = p
         self.dims = tuple(int(d) for d in dims)

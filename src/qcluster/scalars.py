@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .modp import is_prime
+
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact is not."""
@@ -166,6 +168,43 @@ class FormalScalar:
 
     def __repr__(self):
         return self.render()
+
+
+def pack(s: FormalScalar, width: int):
+    """The pair (lo, n) with lo the lowest half power of s and
+    n = sum_k c_k * 2^(width*(k - lo)): s evaluated at t = 2^width, shifted to
+    start at t^0 (Kronecker substitution).
+
+    Sums and products of packed values are sums and products of the
+    polynomials, so they stay exact; :func:`unpack` reads them back as long
+    as every coefficient has absolute value below 2^(width-1).
+    """
+    terms = s.terms
+    lo = min(terms)
+    n = 0
+    for k, c in terms.items():
+        n += c << width * (k - lo)
+    return lo, n
+
+
+def unpack(lo: int, n: int, width: int) -> FormalScalar:
+    """The scalar whose packing at this width is (lo, n), read as balanced
+    digits in (-2^(width-1), 2^(width-1))."""
+    terms = {}
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    k = lo
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            terms[k] = d
+        n = (n - d) >> width
+        k += 1
+    out = FormalScalar.__new__(FormalScalar)
+    out.terms = terms
+    return out
 
 
 def _dense(s: FormalScalar, lo: int) -> list[int]:
@@ -411,8 +450,8 @@ class SpecializedMode:
     formal = False
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if not is_prime(p):
+            raise ValueError("p=%d is not a prime" % p)
         self.p = p
         self.name = "specialized(%d)" % p
 

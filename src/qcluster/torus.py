@@ -1,10 +1,25 @@
 """Based quantum torus: Z[q^(1/2),q^(-1/2)]-combinations of lattice monomials
 X^e multiplied through a skew-symmetric integer form, X^e X^f = q^(L(e,f)/2) X^(e+f).
+
+In formal mode the product and right division work on coefficients packed
+as integers at t = 2^W (``scalars.pack``).  The width W keeps every digit
+of every packed value strictly below 2^(W-1) in absolute value, so packed
+sums and products never carry between digits:
+
+- a product a*b uses W = bit_length(l1(a) * linf(b)) + 1, where l1(a) sums
+  the absolute values of all integer coefficients of a and linf(b) is the
+  largest of those of b; each result digit is a sum of at most one product
+  per integer coefficient of a;
+- right division a/b keeps every remainder digit within
+  linf(a) + l1(quotient so far) * linf(b), and widens W (decode, re-encode)
+  before that bound reaches 2^(W-1).
 """
 
 from __future__ import annotations
 
-from .scalars import FORMAL, ExactDivisionError, ModeError
+from operator import add, mul
+
+from .scalars import FORMAL, ExactDivisionError, ModeError, pack, unpack
 
 MAX_DIV_STEPS = 20000
 
@@ -128,6 +143,8 @@ class ToricElement:
             return self.scale(self.torus.mode.from_int(other))
         self._check(other)
         torus = self.torus
+        if torus.mode.formal:
+            return _formal_mul(self, other)
         mode_qpow = torus.mode.qpow
         pairing = torus.pairing
         terms: dict[tuple, object] = {}
@@ -231,6 +248,54 @@ def normal_order(torus: Torus, c) -> ToricElement:
     return out
 
 
+def _l1(s) -> int:
+    return sum(map(abs, s.terms.values()))
+
+
+def _linf(x: ToricElement) -> int:
+    return max((max(map(abs, s.terms.values())) for s in x.terms.values()), default=0)
+
+
+def _twist_row(lam, e):
+    """The row e*lam, so that L(e, f) is its dot product with f."""
+    row = [0] * len(lam)
+    for i, ei in enumerate(e):
+        if ei:
+            for j, x in enumerate(lam[i]):
+                row[j] += ei * x
+    return row
+
+
+def _formal_mul(a: ToricElement, b: ToricElement) -> ToricElement:
+    """a*b in formal mode, one big-int product per pair of terms."""
+    torus = a.torus
+    width = (sum(map(_l1, a.terms.values())) * _linf(b)).bit_length() + 1
+    packed_b = [(f,) + pack(c, width) for f, c in b.terms.items()]
+    acc: dict[tuple, list] = {}      # g -> [lowest half power, packed value]
+    for e, ce in a.terms.items():
+        lo_e, x = pack(ce, width)
+        row = _twist_row(torus.lam, e)
+        for f, lo_f, y in packed_b:
+            lo = lo_e + lo_f + sum(map(mul, row, f))
+            g = tuple(map(add, e, f))
+            cur = acc.get(g)
+            if cur is None:
+                acc[g] = [lo, x * y]
+            elif lo >= cur[0]:
+                cur[1] += x * y << width * (lo - cur[0])
+            else:
+                cur[1] = (cur[1] << width * (cur[0] - lo)) + x * y
+                cur[0] = lo
+    return ToricElement(torus, {g: unpack(lo, n, width)
+                                for g, (lo, n) in acc.items() if n})
+
+
+def _repack(rem: dict, width: int, new_width: int) -> None:
+    """Re-encode every packed remainder entry at a larger width, in place."""
+    for cur in rem.values():
+        cur[:] = pack(unpack(cur[0], cur[1], width), new_width)
+
+
 def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
     """The unique c with c*b = a, when it exists in the torus.
 
@@ -240,6 +305,8 @@ def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
     a._check(b)
     if not b:
         raise ZeroDivisionError("division by zero toric element")
+    if a.torus.mode.formal:
+        return _formal_div_right(a, b)
     torus = a.torus
     eb, cb = b.leading()
     quot_terms: dict[tuple, object] = {}
@@ -263,4 +330,60 @@ def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
         piece = torus.monomial(ec, cc)
         quot_terms[ec] = cc
         rem = rem - piece * b
+    return ToricElement(torus, quot_terms)
+
+
+def _formal_div_right(a: ToricElement, b: ToricElement) -> ToricElement:
+    """div_right in formal mode on a packed remainder: each step decodes the
+    leading coefficient and updates the |b| entries it touches in place."""
+    torus = a.torus
+    eb, cb = b.leading()
+    linf_a, linf_b = _linf(a), _linf(b)
+    quot_l1 = 0
+    width = linf_a.bit_length() + 1
+    rem = {e: list(pack(c, width)) for e, c in a.terms.items()}
+    packed_b = [(f,) + pack(c, width) for f, c in b.terms.items()]
+    quot_terms: dict[tuple, object] = {}
+    steps = 0
+    prev = None
+    while rem:
+        steps += 1
+        if steps > MAX_DIV_STEPS:
+            raise NonLaurentError("division did not terminate")
+        ea = max(rem)
+        if prev is not None and ea >= prev:
+            raise NonLaurentError("division failed to reduce")
+        prev = ea
+        ca = unpack(rem[ea][0], rem[ea][1], width)
+        ec = tuple(x - y for x, y in zip(ea, eb))
+        row = _twist_row(torus.lam, ec)
+        try:
+            cc = ca.exact_div(cb * torus.mode.qpow(sum(map(mul, row, eb))))
+        except ExactDivisionError as exc:
+            raise NonLaurentError("leading coefficient not divisible") from exc
+        quot_terms[ec] = cc
+        quot_l1 += _l1(cc)
+        bound = linf_a + quot_l1 * linf_b
+        if bound.bit_length() + 1 > width:
+            new_width = max(bound.bit_length() + 1, 2 * width)
+            _repack(rem, width, new_width)
+            width = new_width
+            packed_b = [(f,) + pack(c, width) for f, c in b.terms.items()]
+        lo_c, z = pack(cc, width)
+        for f, lo_f, y in packed_b:
+            lo = lo_c + lo_f + sum(map(mul, row, f))
+            g = tuple(map(add, ec, f))
+            cur = rem.get(g)
+            if cur is None:
+                rem[g] = [lo, -(z * y)]
+                continue
+            if lo >= cur[0]:
+                n = cur[1] - (z * y << width * (lo - cur[0]))
+            else:
+                n = (cur[1] << width * (cur[0] - lo)) - z * y
+                cur[0] = lo
+            if n:
+                cur[1] = n
+            else:
+                del rem[g]
     return ToricElement(torus, quot_terms)

@@ -1,0 +1,133 @@
+"""The formal torus product and right division on packed integers, checked
+against the term-by-term reference (monomial_mul plus dict FormalScalar
+arithmetic) and against the specialized torus."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcluster import catalog
+from qcluster import torus as torus_mod
+from qcluster.scalars import FORMAL, FormalScalar, SpecializedMode, pack, specialize, unpack
+from qcluster.torus import Torus, ToricElement, div_right, monomial_mul
+
+KRON_LAM = (
+    (0, 0, -1, 0),
+    (0, 0, 0, -1),
+    (1, 0, 0, -2),
+    (0, 1, 2, 0),
+)
+TORI = {
+    "kronecker": Torus(KRON_LAM, FORMAL),
+    "a3": catalog.get("a3").model.torus(FORMAL),
+}
+BIG = 2 ** 200
+
+coeffs = st.dictionaries(st.integers(-40, 40), st.integers(-BIG, BIG),
+                         min_size=1, max_size=4).map(FormalScalar).filter(bool)
+
+
+def elements(T, max_terms=4):
+    exps = st.tuples(*[st.integers(-2, 2)] * T.m)
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+        lambda terms: ToricElement(T, terms))
+
+
+def reference_mul(x, y):
+    """x*y term by term: one monomial_mul and dict FormalScalar products per
+    pair of terms."""
+    out = {}
+    for e, ce in x.terms.items():
+        for f, cf in y.terms.items():
+            tw, g = monomial_mul(x.torus, e, f)
+            c = ce * cf * tw
+            out[g] = out[g] + c if g in out else c
+    return {g: c for g, c in out.items() if c}
+
+
+@given(st.integers(-40, 40), st.lists(st.integers(-BIG, BIG), max_size=30),
+       st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_pack_round_trip(lo, digits, extra):
+    s = FormalScalar({lo + i: c for i, c in enumerate(digits)})
+    if not s:
+        return
+    width = max(abs(c) for c in digits).bit_length() + 1
+    for w in (width, width + extra):
+        assert unpack(*pack(s, w), w) == s
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_matches_reference(name, data):
+    T = TORI[name]
+    x = data.draw(elements(T))
+    y = data.draw(elements(T))
+    assert (x * y).terms == reference_mul(x, y)
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_div_right_inverts_product(name, data):
+    T = TORI[name]
+    c = data.draw(elements(T))
+    b = data.draw(elements(T).filter(bool))
+    assert div_right(c * b, b) == c
+
+
+def test_division_widens_partway(monkeypatch):
+    """With x = X^(0,1,0,0), b = x^2 - x and c = x^6 + M(1 + x + x^2)^2, the
+    product a = c*b has digits of size at most M, so W starts at
+    bit_length(M) + 1.  That holds for the first quotient term x^6 but not
+    for the next one, M x^4: the remainder after it, M(1 + 2x + 3x^2 + 2x^3)*b,
+    has leading digit 2M > 2^(W-1), which only a wider W decodes."""
+    T = TORI["kronecker"]
+    calls = []
+    repack = torus_mod._repack
+
+    def spy(rem, width, new_width):
+        calls.append((len(rem), width, new_width))
+        repack(rem, width, new_width)
+
+    monkeypatch.setattr(torus_mod, "_repack", spy)
+    M = BIG - 2
+
+    def poly(*cs):
+        return ToricElement(T, {(0, k, 0, 0): FormalScalar({0: c}) for k, c in enumerate(cs)})
+
+    b = poly(0, -1, 1)
+    c = poly(M, 2 * M, 3 * M, 2 * M, M, 0, 1)
+    a = c * b
+    assert a == poly(0, -M, -M, -M, M, M, M, -1, 1)
+    assert div_right(a, b) == c
+    assert len(calls) == 1
+    left, width, new_width = calls[0]
+    assert width == M.bit_length() + 1 < new_width
+    assert 2 * M > 2 ** (width - 1)
+    assert left == 6   # a less x^6 * b, before the second step's update
+
+
+small = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                        min_size=1, max_size=3).map(FormalScalar).filter(bool)
+
+
+def small_elements(T):
+    exps = st.tuples(*[st.integers(-2, 2)] * T.m)
+    return st.dictionaries(exps, small, max_size=4).map(lambda terms: ToricElement(T, terms))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_specialize_commutes_with_product(p, data):
+    T = TORI["kronecker"]
+    Ts = Torus(KRON_LAM, SpecializedMode(p))
+    x = data.draw(small_elements(T))
+    y = data.draw(small_elements(T))
+
+    def spec(z):
+        return ToricElement(Ts, {e: specialize(c, p) for e, c in z.terms.items()})
+
+    assert spec(x * y) == spec(x) * spec(y)

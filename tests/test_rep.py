@@ -4,6 +4,8 @@ from qcluster import modp
 from qcluster.quiver import IceQuiver, standard_framing
 from qcluster.rep import (
     ProjectiveSummandError,
+    QuiverRep,
+    RepError,
     all_grassmannian_counts,
     aut_count,
     bgp_reflect,
@@ -240,3 +242,10 @@ def test_iso_test_across_arrow_orders():
     assert m1.mats != m2.mats
     assert not iso_test(m1, m2)
     assert iso_test(m1, m1)
+
+
+@pytest.mark.parametrize("p", [4, 1])
+def test_rep_refuses_non_prime(p):
+    # modp.inv inverts by Fermat, which is wrong modulo a composite
+    with pytest.raises(RepError, match="not a prime"):
+        QuiverRep(A2, p, (1, 1), {0: ((1,),)})

@@ -127,3 +127,9 @@ def test_monomial_recognition():
     assert (-1 * mode.qpow(2)).monomial_data() == (2, -1)
     assert (mode.from_int(2)).monomial_data() is None
     assert FORMAL.qpow(5).monomial_data() == (5, 1)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, 9])
+def test_specialized_mode_refuses_non_prime(p):
+    with pytest.raises(ValueError, match="not a prime"):
+        SpecializedMode(p)

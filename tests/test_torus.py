@@ -139,6 +139,11 @@ def test_div_right_nonlaurent(T):
         div_right(a, b)
 
 
+def test_div_right_leading_not_divisible(T):
+    with pytest.raises(NonLaurentError, match="leading coefficient not divisible"):
+        div_right(T.one(), 2 * T.one())
+
+
 def test_render_canonical(T):
     x = T.monomial((1, 1, 0, 1), qpow(-1)) + T.monomial((-1, 0, 1, 0))
     assert x.render() == "1 * X^(-1,0,1,0) + q^{-1/2} * X^(1,1,0,1)"
