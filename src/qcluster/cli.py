@@ -259,9 +259,8 @@ def cmd_mutate(args) -> int:
     model = catalog.get(name).model
     mode = SpecializedMode(args.prime) if args.prime else FORMAL
     seed = QuantumSeed.initial(model, mode)
-    if args.seq:
-        for k in args.seq.split(","):
-            seed = seed.mutate(int(k))
+    for k in args.seq:
+        seed = seed.mutate(k)
     print(seed.render())
     return 0
 
@@ -294,8 +293,9 @@ def _verify_jobs(statement: str, quivers, primes):
     if statement not in defaults:
         raise InputError("unknown statement %r (have %s)"
                          % (statement, ", ".join(VERIFY_IDS)))
-    names = quivers or defaults[statement]
-    return [(statement, name, p) for p in primes for name in names]
+    # a quiver or prime named twice runs once, at its first place
+    names = dict.fromkeys(quivers or defaults[statement])
+    return [(statement, name, p) for p in dict.fromkeys(primes) for name in names]
 
 
 def _run_one_job(job, limits, all_pairs):
@@ -398,6 +398,18 @@ def prime_list(text: str) -> list:
     return [prime(x) for x in text.split(",")]
 
 
+def int_list(text: str) -> list:
+    """argparse type of mutate's comma list of vertices ("" for none)."""
+    out = []
+    for item in text.split(",") if text else ():
+        try:
+            out.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "item %r of %r is not an integer" % (item, text)) from None
+    return out
+
+
 def at_least(low: int):
     """argparse type of an integer option with lower bound low."""
     def parse(text: str) -> int:
@@ -464,7 +476,7 @@ def build_parser():
 
     c = sub.add_parser("mutate", help="mutate the initial seed along a sequence")
     c.add_argument("--quiver", required=True)
-    c.add_argument("--seq", default="")
+    c.add_argument("--seq", type=int_list, default=[])
     c.add_argument("--prime", type=prime,
                    help="specialize at p (default: formal)")
     c.set_defaults(func=cmd_mutate)

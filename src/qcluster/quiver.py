@@ -313,15 +313,47 @@ def _integer_solve(rows, rhs, nunk):
     return x0, kernel
 
 
+def _lex_min(x0, kernel):
+    """The point of x0 + span(kernel) that is lexicographically smallest under
+    the key (|v|, v < 0) per entry.
+
+    Coordinate by coordinate: Euclid-reduce the remaining basis on coordinate
+    t until one vector g keeps a nonzero entry there, move x to the smallest
+    |x_t| in the coset x_t + g_t Z (nonnegative on a tie), then drop g; the
+    vectors left span the lattice directions that fix coordinates 0..t.
+    """
+    x = list(x0)
+    basis = [list(v) for v in kernel]
+    for t in range(len(x)):
+        live = [v for v in basis if v[t]]
+        while len(live) > 1:
+            live.sort(key=lambda v: abs(v[t]))
+            g = live[0]
+            for v in live[1:]:
+                f = v[t] // g[t]
+                v[:] = [a - f * b for a, b in zip(v, g)]
+            live = [v for v in live if v[t]]
+        if not live:
+            continue
+        g = live[0]
+        r = x[t] % abs(g[t])
+        best = r if 2 * r <= abs(g[t]) else r - abs(g[t])
+        f = (best - x[t]) // g[t]
+        x = [a + f * b for a, b in zip(x, g)]
+        basis = [v for v in basis if v[t] == 0]
+    return tuple(x)
+
+
 def solve_lambda(btilde):
     """A deterministic skew-symmetric integer lam with lam * (-btilde) = itilde.
 
-    The unknowns are the strictly-lower-triangular entries.  When the integer
-    solutions form x0 + span(kernel) with kernel rank r <= 4, the solutions
-    with kernel coefficients in the window [-12, 12]^r are searched and the
-    one whose entry vector is lexicographically smallest in absolute value
-    (nonnegative on ties) is returned; smaller solutions outside the window
-    are not seen.  For r > 4 the particular solution x0 is returned as it is.
+    The unknowns are the strictly-lower-triangular entries, and their integer
+    solutions form x0 + span(kernel).  When the kernel has rank r <= 4 the
+    solution returned is the exact lexicographic minimum of the entry vector
+    under (|v|, v < 0), found by `_lex_min`.  For r > 4 the particular
+    solution x0 is returned as it is: the minimum there is a different lam
+    for atilde22, atilde31 and dtilde4, and the pinned lem5.2 digest is
+    computed with the current one.
     """
     m = len(btilde)
     n = len(btilde[0]) if btilde else 0
@@ -346,22 +378,8 @@ def solve_lambda(btilde):
             rows.append(coeff)
             rhs.append(-(1 if i == j else 0))
     x0, kernel = _integer_solve(rows, rhs, len(pairs))
-    if kernel:
-        if len(kernel) > 4:
-            best = x0  # deterministic fallback for large solution spaces
-        else:
-            from itertools import product as iproduct
-
-            def key(x):
-                return tuple((abs(v), 0 if v >= 0 else 1) for v in x)
-
-            best = x0
-            for coeffs in iproduct(range(-12, 13), repeat=len(kernel)):
-                cand = tuple(x0[t] + sum(c * kv[t] for c, kv in zip(coeffs, kernel))
-                             for t in range(len(pairs)))
-                if key(cand) < key(best):
-                    best = cand
-        x0 = best
+    if len(kernel) <= 4:
+        x0 = _lex_min(x0, kernel)
     lam = [[0] * m for _ in range(m)]
     for (i, j), t in index.items():
         lam[i][j] = x0[t]

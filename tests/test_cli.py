@@ -259,3 +259,33 @@ def test_out_of_range_counts_exit_2(capsys, argv, message):
     assert rc == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("seq, item", [("1,,2", "''"), ("x", "'x'")])
+def test_mutate_bad_seq_item_exits_2(capsys, seq, item):
+    rc = run_cli("mutate", "--quiver", "kronecker", "--seq", seq)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "item %s of '%s' is not an integer" % (item, seq) in captured.err
+    assert "invalid literal" not in captured.err
+
+
+def test_mutate_empty_seq_prints_initial_seed(capsys):
+    assert run_cli("mutate", "--quiver", "kronecker", "--seq", "") == 0
+    initial = capsys.readouterr().out
+    assert run_cli("mutate", "--quiver", "kronecker") == 0
+    assert capsys.readouterr().out == initial
+    assert initial.startswith("X1 = 1 * X^(1,0,0,0)\n")
+
+
+@pytest.mark.parametrize("extra", [["--prime", "3,3"], ["--quiver", "a2,a3,a2"]])
+def test_verify_runs_each_unit_once(capsys, extra):
+    base = ["verify", "thm3.3", "--quiver", "a2,a3", "--prime", "3"]
+    assert run_cli(*base) == 0
+    once = capsys.readouterr().out
+    assert run_cli(*base, *extra) == 0
+    assert capsys.readouterr().out == once
+    assert cli._verify_jobs("thm3.3", ("a3", "a2", "a3"), [5, 3, 5]) == [
+        ("thm3.3", "a3", 5), ("thm3.3", "a2", 5),
+        ("thm3.3", "a3", 3), ("thm3.3", "a2", 3)]

@@ -1,12 +1,19 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcluster import catalog
 from qcluster.quiver import (
     ClusterModel,
     CompatibilityError,
     IceQuiver,
+    LambdaSolveError,
     QuiverError,
+    _integer_solve,
+    _lex_min,
     build_matrices,
     check_compatible,
     euler_form,
@@ -26,6 +33,90 @@ PAPER_LAM = (
     (1, 0, 0, -2),
     (0, 1, 2, 0),
 )
+
+# the skew form solve_lambda picks for each catalog quiver; the kernel of the
+# linear system has rank 0, 1 or 3 for a2, a2bare, a3, atilde12, atilde21 and
+# kronecker, and rank 6, 6 and 10 for atilde22, atilde31 and dtilde4, where
+# the raw particular solution is kept
+CATALOG_LAM = {
+    "a2": (
+        (0, 0, -1, 0),
+        (0, 0, 0, -1),
+        (1, 0, 0, -1),
+        (0, 1, 1, 0),
+    ),
+    "a2bare": (
+        (0, 1),
+        (-1, 0),
+    ),
+    "a3": (
+        (0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 0, -1),
+        (1, 0, 0, 0, -1, 0),
+        (0, 1, 0, 1, 0, 1),
+        (0, 0, 1, 0, -1, 0),
+    ),
+    "atilde12": (
+        (0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 0, -1),
+        (1, 0, 0, 0, -1, -1),
+        (0, 1, 0, 1, 0, 1),
+        (0, 0, 1, 1, -1, 0),
+    ),
+    "atilde21": (
+        (0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 0, -1),
+        (1, 0, 0, 0, -1, -1),
+        (0, 1, 0, 1, 0, -1),
+        (0, 0, 1, 1, 1, 0),
+    ),
+    "atilde22": (
+        (0, -1, 0, 1, -1, 0, 0, 0),
+        (1, 0, 1, 0, 0, -1, 0, 0),
+        (0, -1, 0, 0, -1, 0, 0, 0),
+        (-1, 0, 0, 0, 0, 1, 0, 0),
+        (1, 0, 1, 0, 0, 0, 0, 0),
+        (0, 1, 0, -1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    "atilde31": (
+        (0, 1, 0, 1, 1, 0, 0, 0),
+        (-1, 0, 1, 0, 0, 1, 0, 0),
+        (0, -1, 0, 0, -1, 0, 0, 0),
+        (-1, 0, 0, 0, 0, 1, 0, 0),
+        (-1, 0, 1, 0, 0, 2, 0, 0),
+        (0, -1, 0, -1, -2, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    "dtilde4": (
+        (0, 0, 0, 0, 0, -1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, -1, 0, 0, 0),
+        (0, 0, 0, 0, -1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, -1, 0),
+        (0, 0, 1, 0, 0, -1, -1, 0, 1, 0),
+        (1, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    "kronecker": PAPER_LAM,
+}
+
+# the framed quivers of test_solve_lambda_all_framings and the catalog quiver
+# whose skew form each one gets
+FRAMINGS = [
+    (IceQuiver(2, 2, [(2, 1)]), "a2"),
+    (IceQuiver(2, 2, [(2, 1), (2, 1)]), "kronecker"),
+    (IceQuiver(3, 3, [(2, 1), (2, 3)]), "a3"),
+    (IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]), "atilde21"),
+    (IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)]), "atilde22"),
+]
 
 
 def test_kronecker_golden_matrices():
@@ -91,17 +182,76 @@ def test_check_compatible_rejects_zero():
 
 
 def test_solve_lambda_all_framings():
-    for pr in [
-        IceQuiver(2, 2, [(2, 1)]),
-        IceQuiver(2, 2, [(2, 1), (2, 1)]),
-        IceQuiver(3, 3, [(2, 1), (2, 3)]),
-        IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]),
-        IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)]),
-    ]:
+    for pr, name in FRAMINGS:
         fr = standard_framing(pr)
         ex = build_matrices(fr)
         lam = solve_lambda(ex.btilde)
+        assert lam == CATALOG_LAM[name]
         assert check_compatible(lam, ex.btilde) == (1,) * pr.n
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_LAM))
+def test_solve_lambda_pinned_catalog(name):
+    assert catalog.NAMES == tuple(sorted(CATALOG_LAM))
+    assert solve_lambda(catalog.get(name).model.exch.btilde) == CATALOG_LAM[name]
+
+
+def lex_key(x):
+    return tuple((abs(v), v < 0) for v in x)
+
+
+@st.composite
+def lattices(draw):
+    """(x0, kernel): x0 in Z^k and at most four kernel vectors, not
+    necessarily independent."""
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-4, 4), min_size=k, max_size=k).map(tuple)
+    x0 = draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k).map(tuple))
+    return x0, draw(st.lists(vec, min_size=r, max_size=r))
+
+
+def combine(x, coeffs, kernel):
+    return tuple(a + sum(c * v[t] for c, v in zip(coeffs, kernel))
+                 for t, a in enumerate(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices(), st.data())
+def test_lex_min_is_canonical_and_locally_optimal(lattice, data):
+    x0, kernel = lattice
+    r = len(kernel)
+    best = _lex_min(x0, kernel)
+    # best - x0 is an integer combination of the kernel vectors
+    rows = [[v[t] for v in kernel] for t in range(len(x0))]
+    try:
+        _integer_solve(rows, [b - a for a, b in zip(x0, best)], r)
+    except LambdaSolveError:
+        pytest.fail("%r is not in %r + span(%r)" % (best, x0, kernel))
+    # a unimodular change of basis and a lattice shift of x0 change nothing
+    basis = [list(v) for v in kernel]
+    for _ in range(data.draw(st.integers(0, 8)) if r else 0):
+        i = data.draw(st.integers(0, r - 1))
+        j = data.draw(st.integers(0, r - 1))
+        op = data.draw(st.sampled_from(["add", "swap", "neg"]))
+        if op == "add" and i != j:
+            f = data.draw(st.integers(-3, 3))
+            basis[i] = [a + f * b for a, b in zip(basis[i], basis[j])]
+        elif op == "swap":
+            basis[i], basis[j] = basis[j], basis[i]
+        elif op == "neg":
+            basis[i] = [-a for a in basis[i]]
+    shift = data.draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+    assert _lex_min(combine(x0, shift, kernel), basis) == best
+    # no nearby lattice point has a smaller key
+    for coeffs in product(range(-3, 4), repeat=r):
+        assert lex_key(combine(best, coeffs, kernel)) >= lex_key(best)
+
+
+def test_lex_min_tie_takes_the_nonnegative_value():
+    assert _lex_min((1, 0), [(2, 1)]) == (1, 0)
+    assert _lex_min((-1, 0), [(2, 1)]) == (1, 1)
+    assert _lex_min((5, 7), []) == (5, 7)
 
 
 def test_euler_form_kronecker():
