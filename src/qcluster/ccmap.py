@@ -34,6 +34,14 @@ class ClusterObject:
         return "ClusterObject(module=%r, shifts=%r)" % (self.module, self.shifts)
 
 
+def _checked_shifts(model: ClusterModel, obj: ClusterObject) -> dict:
+    """obj.shifts, once each index names a vertex 1..m of the framed quiver."""
+    for i in sorted(obj.shifts):
+        if not 1 <= i <= model.m:
+            raise CCError("shifted projective index %d out of range 1..%d" % (i, model.m))
+    return obj.shifts
+
+
 def _module_vector(model: ClusterModel, module) -> tuple:
     if module is None:
         return (0,) * model.n
@@ -46,6 +54,7 @@ def cc_map(obj: ClusterObject, model: ClusterModel, p: int) -> ToricElement:
     """Specialized-mode value of the map at the prime p."""
     torus = model.torus(SpecializedMode(p))
     mv = _module_vector(model, obj.module)
+    shifts = _checked_shifts(model, obj)
     if obj.module is not None and obj.module.p != p:
         raise CCError("module lives over p=%d, asked for %d" % (obj.module.p, p))
     out = torus.zero()
@@ -54,7 +63,7 @@ def cc_map(obj: ClusterObject, model: ClusterModel, p: int) -> ToricElement:
     for e, cnt in sorted(counts.items()):
         half = -model.euler(e, tuple(m - x for m, x in zip(mv, e)))
         coeff = cnt * torus.mode.qpow(half)
-        exp = model.cc_exponent(e, mv, obj.shifts)
+        exp = model.cc_exponent(e, mv, shifts)
         out = out + torus.monomial(exp, coeff)
     return out
 
@@ -62,9 +71,9 @@ def cc_map(obj: ClusterObject, model: ClusterModel, p: int) -> ToricElement:
 def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel) -> ToricElement:
     """Formal-mode value; Grassmannian counts are interpolated polynomials."""
     torus = model.torus(FORMAL)
-    obj = ClusterObject(None, shifts)
+    shifts = _checked_shifts(model, ClusterObject(None, shifts))
     if family is None:
-        exp = model.cc_exponent((0,) * model.n, (0,) * model.n, obj.shifts)
+        exp = model.cc_exponent((0,) * model.n, (0,) * model.n, shifts)
         return torus.monomial(exp)
     mv = family.dims
     out = torus.zero()

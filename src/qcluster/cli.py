@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from functools import partial
 
 from . import catalog, harness
@@ -183,11 +184,7 @@ def cmd_ccmap(args) -> int:
         raise InputError("ccmap needs a catalog quiver (have %s)" % ", ".join(catalog.NAMES))
     model = catalog.get(name).model
     obj, _framed = load_rep(args, args.prime)
-    shifts = {}
-    if args.shift:
-        for part in args.shift.split(","):
-            i = int(part)
-            shifts[i] = shifts.get(i, 0) + 1
+    shifts = Counter(args.shift)
     if isinstance(obj, RepFamily):
         if not args.formal:
             obj = obj.instantiate(args.prime)
@@ -209,7 +206,7 @@ def cmd_ccmap(args) -> int:
 
 def cmd_grass(args) -> int:
     obj, _framed = load_rep(args, args.prime)
-    e = tuple(int(x) for x in args.e.split(","))
+    e = tuple(args.e)
     if isinstance(obj, RepFamily):
         from .families import grassmannian_poly
         coeffs = grassmannian_poly(obj, e)
@@ -270,74 +267,22 @@ def cmd_basis(args) -> int:
     return emit_reports(reports, args.json)
 
 
-VERIFY_IDS = ("thm3.3", "green", "thm3.5", "thm3.8", "lem5.2", "lem5.4",
-              "prop4.3", "prop4.5", "prop6.1", "prop6.2", "conj6.4", "basis")
-
-
 def _verify_jobs(statement: str, quivers, primes):
     """Independent (statement, quiver, prime) work units, in output order."""
-    defaults = {
-        "thm3.3": ("a2", "a3", "kronecker"),
-        "green": ("a2", "a3", "kronecker"),
-        "thm3.5": ("a2", "a2bare", "a3", "kronecker"),
-        "thm3.8": ("a2", "a3", "kronecker"),
-        "lem5.2": ("atilde21", "atilde22"),
-        "lem5.4": ("kronecker",),
-        "prop4.3": ("a2", "a3"),
-        "prop4.5": ("a2", "a3"),
-        "prop6.1": ("atilde12", "atilde22"),
-        "prop6.2": ("dtilde4",),
-        "conj6.4": ("atilde21", "atilde12", "atilde22", "atilde31", "dtilde4"),
-        "basis": ("kronecker", "atilde21"),
-    }
-    if statement not in defaults:
+    if statement not in harness.STATEMENTS:
         raise InputError("unknown statement %r (have %s)"
-                         % (statement, ", ".join(VERIFY_IDS)))
+                         % (statement, ", ".join(harness.STATEMENTS)))
     # a quiver or prime named twice runs once, at its first place
-    names = dict.fromkeys(quivers or defaults[statement])
+    names = dict.fromkeys(quivers or harness.STATEMENTS[statement].quivers)
     return [(statement, name, p) for p in dict.fromkeys(primes) for name in names]
 
 
 def _run_one_job(job, limits, all_pairs):
     """Run one (statement, quiver, prime) unit under a fresh Budget(**limits);
     its class stores are freed with it."""
+    statement, name, p = job
     with Budget(**limits):
-        return _run_unit(*job, all_pairs)
-
-
-def _run_unit(statement, name, p, all_pairs):
-    # pair sweeps run on the Green bounds unless --all-pairs asks for the full box
-    kw = {} if all_pairs else {"bounds": harness.GREEN_BOUNDS}
-    if statement == "thm3.3":
-        return harness.sweep_hall(name, p, **kw)
-    if statement == "green":
-        return harness.sweep_green(name, p, **kw)
-    if statement == "thm3.5":
-        return harness.sweep_onedim(name, p, **kw)
-    if statement == "thm3.8":
-        return harness.sweep_exchange(name, p, **kw)
-    if statement == "lem5.2":
-        entry = catalog.get(name)
-        return [harness.verify_tube_recursion(name, t, i, p)
-                for t in range(len(entry.tubes)) for i in (1, 2)]
-    if statement == "lem5.4":
-        return harness.verify_kronecker(p) + [harness.verify_kronecker_formal()]
-    if statement == "prop4.3":
-        return _cone_sweep(name, p)
-    if statement == "prop4.5":
-        return harness.verify_standard_monomials(name, p)
-    if statement in ("prop6.1", "prop6.2"):
-        return harness.verify_difference(name, p)
-    if statement == "conj6.4":
-        entry = catalog.get(name)
-        out = []
-        for t in range(len(entry.tubes)):
-            out += harness.check_conjecture(name, t, p)
-        return out
-    if statement == "basis":
-        _elems, rs = harness.generic_basis(name, p, 1)
-        return rs
-    raise InputError("unknown statement %r" % statement)
+        return harness.STATEMENTS[statement].unit(name, p, all_pairs)
 
 
 def run_verify(statement: str, quivers, primes, limits, jobs, all_pairs):
@@ -355,28 +300,10 @@ def run_verify(statement: str, quivers, primes, limits, jobs, all_pairs):
     return [r for chunk in chunks for r in chunk]
 
 
-def _cone_sweep(name, p):
-    from .hall import dim_vectors_upto
-    entry = catalog.get(name)
-    store = catalog.store_for(name, p)
-    reports = []
-    objs = [ClusterObject(None, {i: 1}) for i in range(1, entry.principal.n + 1)]
-    for d in dim_vectors_upto(entry.principal.n, bound_total=3):
-        for M in store.iso_classes(d):
-            if R.is_indecomposable(M):
-                objs.append(ClusterObject(M))
-    for o in objs:
-        reports.append(harness.support_cone_check(name, o, p))
-    return reports
-
-
-AFFINE_STATEMENTS = ("lem5.2", "lem5.4", "prop6.1", "prop6.2", "conj6.4", "basis")
-
-
 def cmd_verify(args) -> int:
     primes = args.prime or [3]
     quivers = tuple(args.quiver.split(",")) if args.quiver else None
-    if 2 in primes and args.statement in AFFINE_STATEMENTS:
+    if 2 in primes and harness.STATEMENTS[args.statement].affine:
         print("warning: the affine basis statements assume a field with more "
               "than two elements; p=2 results are not covered by them",
               file=sys.stderr)
@@ -393,21 +320,26 @@ def prime(text: str) -> int:
     return p
 
 
-def prime_list(text: str) -> list:
-    """argparse type of verify's comma list of primes."""
-    return [prime(x) for x in text.split(",")]
-
-
-def int_list(text: str) -> list:
-    """argparse type of mutate's comma list of vertices ("" for none)."""
+def _items(text: str, parse) -> list:
+    """parse of each item of a comma list; a non-integer item is named."""
     out = []
-    for item in text.split(",") if text else ():
+    for item in text.split(","):
         try:
-            out.append(int(item))
+            out.append(parse(item))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "item %r of %r is not an integer" % (item, text)) from None
     return out
+
+
+def prime_list(text: str) -> list:
+    """argparse type of verify's comma list of primes."""
+    return _items(text, prime)
+
+
+def int_list(text: str) -> list:
+    """argparse type of a comma list of integers ("" for none)."""
+    return _items(text, int) if text else []
 
 
 def at_least(low: int):
@@ -439,7 +371,8 @@ def build_parser():
     c.add_argument("--quiver", required=True)
     c.add_argument("--rep", required=True)
     c.add_argument("--prime", type=prime, default=3)
-    c.add_argument("--shift", help="comma list of shifted projective indices")
+    c.add_argument("--shift", type=int_list, default=[],
+                   help="comma list of shifted projective indices")
     c.add_argument("--formal", action="store_true")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_ccmap)
@@ -447,7 +380,7 @@ def build_parser():
     c = sub.add_parser("grass", help="submodule count at one dimension vector")
     c.add_argument("--quiver", required=True)
     c.add_argument("--rep", required=True)
-    c.add_argument("--e", required=True)
+    c.add_argument("--e", type=int_list, required=True)
     c.add_argument("--prime", type=prime, default=3)
     c.set_defaults(func=cmd_grass)
 
@@ -482,14 +415,12 @@ def build_parser():
     c.set_defaults(func=cmd_mutate)
 
     c = sub.add_parser("verify", help="verify a statement id")
-    c.add_argument("statement", choices=VERIFY_IDS)
+    c.add_argument("statement", choices=tuple(harness.STATEMENTS))
     c.add_argument("--quiver", help="comma list of catalog quivers")
     c.add_argument("--prime", type=prime_list,
                    help="comma list of primes (default 3)")
     c.add_argument("--all-pairs", action="store_true",
-                   help="thm3.3, thm3.5 and thm3.8 sweep the full desk bounds "
-                        "instead of the quick subset; green always sweeps the "
-                        "quick subset and prop4.3 total dimension <= 3")
+                   help=harness.ALL_PAIRS_HELP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_verify)
 

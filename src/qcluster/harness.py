@@ -8,6 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Callable, NamedTuple
 
 from . import catalog
 from . import rep as R
@@ -116,10 +117,17 @@ def hall_pairs(name: str, p: int, total=None, bound_vec=None):
 
 SWEEP_BOUNDS = {"a2": dict(total=4), "a2bare": dict(total=4),
                 "a3": dict(total=4), "kronecker": dict(bound_vec=(2, 2))}
+GREEN_BOUNDS = {"a2": dict(total=3), "a2bare": dict(total=3),
+                "a3": dict(total=3), "kronecker": dict(bound_vec=(1, 1))}
 
 
-def sweep_hall(name: str, p: int = 3, bounds=None):
-    kw = (bounds or SWEEP_BOUNDS).get(name, dict(total=3))
+def _pair_bounds(name: str, all_pairs: bool) -> dict:
+    """The full desk bounds of a pair sweep, or the quick subset."""
+    return (SWEEP_BOUNDS if all_pairs else GREEN_BOUNDS).get(name, dict(total=3))
+
+
+def sweep_hall(name: str, p: int = 3, all_pairs: bool = True):
+    kw = _pair_bounds(name, all_pairs)
     return [verify_hall(name, M, N, p) for M, N in hall_pairs(name, p, **kw)]
 
 
@@ -170,12 +178,8 @@ def verify_green(name: str, M, N, X, Y, p: int) -> VerifyReport:
     return VerifyReport("green", inputs, str(lhs), str(rhs), verdict)
 
 
-GREEN_BOUNDS = {"a2": dict(total=3), "a2bare": dict(total=3),
-                "a3": dict(total=3), "kronecker": dict(bound_vec=(1, 1))}
-
-
-def sweep_green(name: str, p: int = 3, bounds=None):
-    kw = (bounds or GREEN_BOUNDS).get(name, dict(total=3))
+def sweep_green(name: str, p: int = 3):
+    kw = _pair_bounds(name, all_pairs=False)
     store = catalog.store_for(name, p)
     out = []
     for M, N in hall_pairs(name, p, **kw):
@@ -297,9 +301,9 @@ def verify_onedim(name: str, M, N, p: int) -> VerifyReport:
     return _cmp_report("thm3.5", inputs, lhs, rhs, detail=case or "general")
 
 
-def sweep_onedim(name: str, p: int = 3, bounds=None):
+def sweep_onedim(name: str, p: int = 3, all_pairs: bool = True):
     """All ordered pairs of iso classes (decomposables included) in bounds."""
-    kw = (bounds or SWEEP_BOUNDS).get(name, dict(total=3))
+    kw = _pair_bounds(name, all_pairs)
     store = catalog.store_for(name, p)
     classes = [M for d in _sweep_dims(name, **kw) for M in store.iso_classes(d)]
     return [verify_onedim(name, M, N, p) for M, N in _bounded_pairs(classes, **kw)]
@@ -349,18 +353,11 @@ def verify_exchange(name: str, M, j: int, p: int) -> VerifyReport:
     return _cmp_report("thm3.8", inputs, lhs, rhs)
 
 
-def sweep_exchange(name: str, p: int = 3, bounds=None):
-    kw = (bounds or SWEEP_BOUNDS).get(name, dict(total=3))
-    entry = catalog.get(name)
+def sweep_exchange(name: str, p: int = 3, all_pairs: bool = True):
+    m = catalog.get(name).framed.m
     store = catalog.store_for(name, p)
-    out = []
-    for d in _sweep_dims(name, **kw):
-        for M in store.iso_classes(d):
-            if not R.is_indecomposable(M):
-                continue
-            for j in range(1, entry.framed.m + 1):
-                out.append(verify_exchange(name, M, j, p))
-    return out
+    indecs = store.indecomposables(_sweep_dims(name, **_pair_bounds(name, all_pairs)))
+    return [verify_exchange(name, M, j, p) for M in indecs for j in range(1, m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +452,28 @@ def verify_kronecker_formal() -> VerifyReport:
 # Difference property
 
 
-def _frozen_copy_shift(model: ClusterModel, u):
-    """Shift dict placing the principal vector u on the frozen partners."""
-    return {model.n + i + 1: x for i, x in enumerate(u) if x}
+def _tube_difference(name: str, p: int, tube_index: int):
+    """(dim E_1, E_1[r], E_2[r-2], E_lambda) on a tube of rank r; tau^{-1} E_1
+    = E_2 in the cyclic labelling."""
+    simples = catalog.get(name).tube_simples(p, tube_index)
+    r = len(simples)
+    return (simples[0].dims, catalog.tube_module(name, p, tube_index, 1, r),
+            catalog.tube_module(name, p, tube_index, 2, r - 2),
+            catalog.homogeneous_points(name, p)[0])
+
+
+def _difference_sides(name: str, p: int, shift, e1r, e2low, elam):
+    """X_{E_1[r]} and X_{E_lambda} + q X_{E_2[r-2]}, the latter in the object
+    form, whose second term is shifted at the frozen copy of shift, and in
+    the plain module form."""
+    model = catalog.get(name).model
+    torus = model.torus(SpecializedMode(p))
+    lhs = cc_map(ClusterObject(e1r), model, p)
+    base = cc_map(ClusterObject(elam), model, p)
+    frozen = {model.n + i + 1: x for i, x in enumerate(shift) if x}
+    rhs_object = base + torus.q(1) * cc_map(ClusterObject(e2low, frozen), model, p)
+    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(e2low), model, p)
+    return lhs, rhs_object, rhs_plain
 
 
 def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyReport]:
@@ -471,15 +487,8 @@ def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyRepo
     reported for the record: over a standard framing the framing rows of the
     exchange matrix make the two sides differ by exactly X^(frozen copy).
     """
-    entry = catalog.get(name)
-    model = entry.model
     statement = "prop6.2" if name.startswith("dtilde") else "prop6.1"
-    simples = entry.tube_simples(p, tube_index)
-    s = len(simples)
-    e1s = catalog.tube_module(name, p, tube_index, 1, s)
-    e2low = catalog.tube_module(name, p, tube_index, 2, s - 2)
-    elam = catalog.homogeneous_points(name, p)[0]
-    shift = simples[0].dims
+    shift, e1s, e2low, elam = _tube_difference(name, p, tube_index)
     reports = []
     count_ok = True
     detail = ""
@@ -496,14 +505,9 @@ def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyRepo
     reports.append(VerifyReport(statement, "%s p=%d counts" % (name, p),
                                 verdict="pass" if count_ok else "fail",
                                 detail=detail))
-    torus = model.torus(SpecializedMode(p))
-    lhs = cc_map(ClusterObject(e1s), model, p)
-    base = cc_map(ClusterObject(elam), model, p)
-    frozen = _frozen_copy_shift(model, simples[0].dims)
-    rhs_object = base + torus.q(1) * cc_map(ClusterObject(e2low, frozen), model, p)
+    lhs, rhs_object, rhs_plain = _difference_sides(name, p, shift, e1s, e2low, elam)
     reports.append(_cmp_report(statement, "%s p=%d toric(object)" % (name, p),
                                lhs, rhs_object))
-    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(e2low), model, p)
     plain = _cmp_report(statement, "%s p=%d toric(module)" % (name, p),
                         lhs, rhs_plain, neutral=True)
     plain.detail = ("module form drops the frozen injective shift"
@@ -515,20 +519,8 @@ def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyRepo
 def check_conjecture(name: str, tube_index: int, p: int) -> list[VerifyReport]:
     """Difference form on an arbitrary tube; reported neutrally, in both the
     frozen-shift object form and the plain module form."""
-    entry = catalog.get(name)
-    model = entry.model
-    simples = entry.tube_simples(p, tube_index)
-    nrank = len(simples)
-    e_n = catalog.tube_module(name, p, tube_index, 1, nrank)
-    # tau^{-1} E_1 = E_2 in the cyclic labelling
-    low = catalog.tube_module(name, p, tube_index, 2, nrank - 2)
-    elam = catalog.homogeneous_points(name, p)[0]
-    torus = model.torus(SpecializedMode(p))
-    lhs = cc_map(ClusterObject(e_n), model, p)
-    base = cc_map(ClusterObject(elam), model, p)
-    frozen = _frozen_copy_shift(model, simples[0].dims)
-    rhs_object = base + torus.q(1) * cc_map(ClusterObject(low, frozen), model, p)
-    rhs_plain = base + torus.q(1) * cc_map(ClusterObject(low), model, p)
+    lhs, rhs_object, rhs_plain = _difference_sides(
+        name, p, *_tube_difference(name, p, tube_index))
     tag = "%s p=%d tube=%d" % (name, p, tube_index)
     return [
         _cmp_report("conj6.4", tag + " (object)", lhs, rhs_object, neutral=True),
@@ -670,6 +662,16 @@ def support_cone_check(name: str, obj: ClusterObject, p: int) -> VerifyReport:
         return VerifyReport("prop4.3", inputs, verdict="fail",
                             detail="vertex coefficient %s not a monomial" % comp[0][1])
     return VerifyReport("prop4.3", inputs, verdict="pass")
+
+
+def cone_sweep(name: str, p: int):
+    """support_cone_check on each shifted projective P_i[1] and each
+    indecomposable of total dimension at most 3."""
+    n = catalog.get(name).principal.n
+    indecs = catalog.store_for(name, p).indecomposables(_sweep_dims(name, total=3))
+    objs = ([ClusterObject(None, {i: 1}) for i in range(1, n + 1)]
+            + [ClusterObject(M) for M in indecs])
+    return [support_cone_check(name, o, p) for o in objs]
 
 
 def filtration_degree(x: ToricElement, eps, n) -> int:
@@ -1002,3 +1004,52 @@ def verify_parameter_independence(name: str, p: int) -> VerifyReport:
         ok = False
     return VerifyReport("lem5.1", "%s p=%d" % (name, p),
                         verdict="pass" if ok else "fail", detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# Verify ids
+
+
+class Statement(NamedTuple):
+    """A verify id: the quivers it runs on by default, whether it is one of
+    the affine statements (which assume a field with more than two
+    elements), and its unit (name, p, all_pairs) -> reports."""
+    quivers: tuple
+    affine: bool
+    unit: Callable[[str, int, bool], list]
+
+
+def _no_pairs(check):
+    """The unit of a check(name, p) -> reports that sweeps no pairs."""
+    return lambda name, p, all_pairs: check(name, p)
+
+
+def _each_tube(check):
+    """The unit that runs check(name, tube_index, p) -> reports on every tube."""
+    return lambda name, p, all_pairs: [
+        r for t in range(len(catalog.get(name).tubes)) for r in check(name, t, p)]
+
+
+ALL_PAIRS_HELP = ("thm3.3, thm3.5 and thm3.8 sweep the full desk bounds "
+                  "instead of the quick subset; green always sweeps the "
+                  "quick subset and prop4.3 total dimension <= 3")
+
+# the verify ids, in the order of `qcluster verify --help`
+STATEMENTS = {
+    "thm3.3": Statement(("a2", "a3", "kronecker"), False, sweep_hall),
+    "green": Statement(("a2", "a3", "kronecker"), False, _no_pairs(sweep_green)),
+    "thm3.5": Statement(("a2", "a2bare", "a3", "kronecker"), False, sweep_onedim),
+    "thm3.8": Statement(("a2", "a3", "kronecker"), False, sweep_exchange),
+    "lem5.2": Statement(("atilde21", "atilde22"), True, _each_tube(
+        lambda name, t, p: [verify_tube_recursion(name, t, i, p) for i in (1, 2)])),
+    "lem5.4": Statement(("kronecker",), True, lambda name, p, all_pairs:
+                        verify_kronecker(p) + [verify_kronecker_formal()]),
+    "prop4.3": Statement(("a2", "a3"), False, _no_pairs(cone_sweep)),
+    "prop4.5": Statement(("a2", "a3"), False, _no_pairs(verify_standard_monomials)),
+    "prop6.1": Statement(("atilde12", "atilde22"), True, _no_pairs(verify_difference)),
+    "prop6.2": Statement(("dtilde4",), True, _no_pairs(verify_difference)),
+    "conj6.4": Statement(("atilde21", "atilde12", "atilde22", "atilde31", "dtilde4"),
+                         True, _each_tube(check_conjecture)),
+    "basis": Statement(("kronecker", "atilde21"), True,
+                       lambda name, p, all_pairs: generic_basis(name, p, 1)[1]),
+}

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from qcluster import catalog, cli
+from qcluster import catalog, cli, harness
 
 FIX = cli.FIXTURE_ROOT
 
@@ -289,3 +289,69 @@ def test_verify_runs_each_unit_once(capsys, extra):
     assert cli._verify_jobs("thm3.3", ("a3", "a2", "a3"), [5, 3, 5]) == [
         ("thm3.3", "a3", 5), ("thm3.3", "a2", 5),
         ("thm3.3", "a3", 3), ("thm3.3", "a2", 3)]
+
+
+def readme_verify_ids():
+    """The ids of README's table of verify statements, in table order."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    table = text.split("Verification statement ids:", 1)[1].split("\n\n", 2)[1]
+    return [line.split("`")[1] for line in table.splitlines()[2:]]
+
+
+def test_verify_ids_agree_across_readme_parser_and_table(capsys):
+    assert run_cli("verify", "--help") == 0
+    usage = capsys.readouterr().out
+    choices = usage.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert list(harness.STATEMENTS) == choices == readme_verify_ids()
+
+
+def test_default_quivers_are_catalog_names():
+    for statement in harness.STATEMENTS.values():
+        assert statement.quivers
+        assert set(statement.quivers) <= set(catalog.ENTRIES)
+
+
+@pytest.mark.parametrize("statement, warned", [("basis", True), ("thm3.3", False)])
+def test_p2_warning_only_for_affine_statements(capsys, statement, warned):
+    rc = run_cli("verify", statement, "--prime", "2")
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert ("warning: the affine basis statements assume a field with more "
+            "than two elements" in err) == warned
+
+
+@pytest.mark.parametrize("rep, extra, shift", [
+    ("s1.rep", [], "0"), ("s1.rep", [], "-1"), ("s1.rep", [], "9"),
+    ("r1.family", ["--formal"], "5")])
+def test_ccmap_shift_out_of_range_exits_2(capsys, rep, extra, shift):
+    rc = run_cli("ccmap", "--quiver", "kronecker", "--rep", rep, *extra, "--shift", shift)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: shifted projective index %s out of range 1..4" % shift in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, option, item, text", [
+    (["ccmap", "--quiver", "kronecker", "--rep", "s1.rep", "--shift", "1,,2"],
+     "--shift", "''", "1,,2"),
+    (["grass", "--quiver", "kronecker", "--rep", "r1.rep", "--e", "1,,0"],
+     "--e", "''", "1,,0"),
+    (["verify", "lem5.4", "--prime", "3,,5"], "--prime", "''", "3,,5"),
+])
+def test_bad_comma_list_item_is_named(capsys, argv, option, item, text):
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "argument %s: item %s of '%s' is not an integer" % (option, item, text) \
+        in captured.err
+    assert "invalid" not in captured.err
+
+
+def test_ccmap_repeated_shift_counts_twice(capsys):
+    assert run_cli("ccmap", "--quiver", "kronecker", "--rep", "s1.rep",
+                   "--shift", "3,3") == 0
+    assert capsys.readouterr().out.strip() == "1 * X^(-1,0,3,0) + 1 * X^(-1,2,2,0)"
