@@ -9,6 +9,8 @@ the field size in formal mode.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import catalog
 from . import rep as R
 from .families import RepFamily, grassmannian_poly, poly_to_scalar
@@ -50,6 +52,17 @@ def _module_vector(model: ClusterModel, module) -> tuple:
     return module.dims
 
 
+def _cc_sum(model: ClusterModel, torus, mv, shifts, counts) -> ToricElement:
+    """sum_e count_e q^(-<e, mv-e>/2) X^(cc_exponent(e, mv, shifts)) over the
+    (e, count_e) pairs of counts, in their order."""
+    out = torus.zero()
+    for e, cnt in counts:
+        half = -model.euler(e, tuple(m - x for m, x in zip(mv, e)))
+        coeff = cnt * torus.mode.qpow(half)
+        out = out + torus.monomial(model.cc_exponent(e, mv, shifts), coeff)
+    return out
+
+
 def cc_map(obj: ClusterObject, model: ClusterModel, p: int) -> ToricElement:
     """Specialized-mode value of the map at the prime p."""
     torus = model.torus(SpecializedMode(p))
@@ -57,15 +70,9 @@ def cc_map(obj: ClusterObject, model: ClusterModel, p: int) -> ToricElement:
     shifts = _checked_shifts(model, obj)
     if obj.module is not None and obj.module.p != p:
         raise CCError("module lives over p=%d, asked for %d" % (obj.module.p, p))
-    out = torus.zero()
     counts = (R.all_grassmannian_counts(obj.module)
               if obj.module is not None else {(0,) * model.n: 1})
-    for e, cnt in sorted(counts.items()):
-        half = -model.euler(e, tuple(m - x for m, x in zip(mv, e)))
-        coeff = cnt * torus.mode.qpow(half)
-        exp = model.cc_exponent(e, mv, shifts)
-        out = out + torus.monomial(exp, coeff)
-    return out
+    return _cc_sum(model, torus, mv, shifts, sorted(counts.items()))
 
 
 def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel) -> ToricElement:
@@ -73,20 +80,12 @@ def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel) -> Tori
     torus = model.torus(FORMAL)
     shifts = _checked_shifts(model, ClusterObject(None, shifts))
     if family is None:
-        exp = model.cc_exponent((0,) * model.n, (0,) * model.n, shifts)
-        return torus.monomial(exp)
+        return _cc_sum(model, torus, (0,) * model.n, shifts, [((0,) * model.n, 1)])
     mv = family.dims
-    out = torus.zero()
-    from itertools import product
-    for e in sorted(product(*[range(d + 1) for d in mv])):
-        coeffs = grassmannian_poly(family, e)
-        if not coeffs:
-            continue
-        half = -model.euler(e, tuple(m - x for m, x in zip(mv, e)))
-        coeff = poly_to_scalar(coeffs) * torus.mode.qpow(half)
-        exp = model.cc_exponent(e, mv, shifts)
-        out = out + torus.monomial(exp, coeff)
-    return out
+    polys = ((e, grassmannian_poly(family, e))
+             for e in sorted(product(*[range(d + 1) for d in mv])))
+    return _cc_sum(model, torus, mv, shifts,
+                   ((e, poly_to_scalar(c)) for e, c in polys if c))
 
 
 def shifted_projective(model: ClusterModel, i: int, p: int) -> ToricElement:

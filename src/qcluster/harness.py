@@ -6,16 +6,16 @@ specialized quantum torus.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
 from . import catalog
 from . import rep as R
-from .ccmap import ClusterObject, cc_map, extended_coreflect, generic_variable
+from .ccmap import (ClusterObject, cc_map, cc_map_formal, extended_coreflect,
+                    generic_variable)
 from .hall import dim_vectors_upto
 from .quiver import ClusterModel, build_matrices, verify_lemma_bilinear
-from .scalars import SpecializedMode
+from .scalars import FORMAL, SpecializedMode
 from .seeds import QuantumSeed, mutate_matrices, standard_monomial
 from .torus import ToricElement
 
@@ -407,6 +407,14 @@ def verify_tube_recursion(name: str, tube_index: int, i: int, p: int) -> VerifyR
 # The Kronecker golden identity
 
 
+def _kronecker_identity(torus, xs1, xs2) -> ToricElement:
+    """X_S1 X_S2 - q^(-1) X^(1,0,0,0) X^(0,1,0,0) X^(0,0,0,1), the value the
+    regular simple R1 must take."""
+    prod = torus.monomial((1, 0, 0, 0)) * torus.monomial((0, 1, 0, 0)) \
+        * torus.monomial((0, 0, 0, 1))
+    return xs1 * xs2 - torus.q(-1) * prod
+
+
 def verify_kronecker(p: int) -> list[VerifyReport]:
     entry = catalog.get("kronecker")
     model = entry.model
@@ -426,25 +434,16 @@ def verify_kronecker(p: int) -> list[VerifyReport]:
         for e in exps:
             want = want + torus.monomial(e)
         out.append(_cmp_report("lem5.4", "p=%d %s" % (p, tag), val, want))
-    prod = torus.monomial((1, 0, 0, 0)) * torus.monomial((0, 1, 0, 0)) \
-        * torus.monomial((0, 0, 0, 1))
-    rhs = xs1 * xs2 - torus.q(-1) * prod
+    rhs = _kronecker_identity(torus, xs1, xs2)
     out.append(_cmp_report("lem5.4", "p=%d identity" % p, xr, rhs))
     return out
 
 
 def verify_kronecker_formal() -> VerifyReport:
-    from .ccmap import cc_map_formal
-    from .scalars import FORMAL
-    entry = catalog.get("kronecker")
-    model = entry.model
-    torus = model.torus(FORMAL)
-    xs1 = cc_map_formal(catalog.family_for("kronecker", "s1"), {}, model)
-    xs2 = cc_map_formal(catalog.family_for("kronecker", "s2"), {}, model)
-    xr = cc_map_formal(catalog.family_for("kronecker", "r1"), {}, model)
-    prod = torus.monomial((1, 0, 0, 0)) * torus.monomial((0, 1, 0, 0)) \
-        * torus.monomial((0, 0, 0, 1))
-    rhs = xs1 * xs2 - torus.q(-1) * prod
+    model = catalog.get("kronecker").model
+    xs1, xs2, xr = (cc_map_formal(catalog.family_for("kronecker", f), {}, model)
+                    for f in ("s1", "s2", "r1"))
+    rhs = _kronecker_identity(model.torus(FORMAL), xs1, xs2)
     return _cmp_report("lem5.4", "formal identity", xr, rhs)
 
 
@@ -614,6 +613,14 @@ def is_graded(b_matrix, eps) -> bool:
     return True
 
 
+def graded_epsilon(name: str):
+    """The catalog grading form of name, or None when it has none or the
+    form does not grade the exchange matrix."""
+    entry = catalog.get(name)
+    eps = entry.epsilon
+    return eps if eps is not None and is_graded(entry.model.exch.b, eps) else None
+
+
 def lambda_vertex(model: ClusterModel, obj: ClusterObject):
     mv = obj.module.dims if obj.module is not None else (0,) * model.n
     out = []
@@ -628,10 +635,10 @@ def support_cone_check(name: str, obj: ClusterObject, p: int) -> VerifyReport:
     monomial property, for graded members with no multiple arrows."""
     entry = catalog.get(name)
     model = entry.model
-    eps = entry.epsilon
+    eps = graded_epsilon(name)
     inputs = "%s p=%d obj=%s+%s" % (
         name, p, list(obj.module.dims) if obj.module else None, obj.shifts)
-    if eps is None or not is_graded(model.exch.b, eps):
+    if eps is None:
         return VerifyReport("prop4.3", inputs, verdict="skip", detail="not graded")
     if any(entry.principal.arrow_count(s, t) > 1
            for s in range(1, model.n + 1) for t in range(1, model.n + 1)):
@@ -696,81 +703,95 @@ def _eps_leaders(x: ToricElement, eps, n):
     return sorted(pt for pt, v in degs.items() if v == best)
 
 
-@lru_cache(maxsize=None)
-def _sm_leading_map(name: str, p: int, box_radius: int):
-    """d -> (standard monomial, leading principal point) over a box, plus the
-    inverse map from leading points; gradedness makes the leader unique.
-    Built once per (name, p, box_radius); callers must not mutate it."""
-    entry = catalog.get(name)
-    model = entry.model
-    eps = entry.epsilon
-    if eps is None:
-        raise ExpansionError("no grading form on %s" % name)
-    table = {}
-    lead_to_d = {}
-    rng = range(-box_radius, box_radius + 1)
-    for d in product(rng, repeat=model.n):
-        sm = standard_monomial(name, d, p)
-        leaders = _eps_leaders(sm, eps, model.n)
+def _unique_leaders(elems, eps, n):
+    """Leading principal point -> d over the elements elems[d], taken in
+    sorted d order; raises ExpansionError at the first element without a
+    unique epsilon-leader and at the first leader that two elements share."""
+    owner = {}
+    for d, x in sorted(elems.items()):
+        leaders = _eps_leaders(x, eps, n)
         if len(leaders) != 1:
-            raise ExpansionError("standard monomial %s has no unique leader" % (d,))
-        lead = leaders[0]
-        if lead in lead_to_d:
-            raise ExpansionError("leading points collide: %s and %s"
-                                 % (lead_to_d[lead], d))
-        table[d] = (sm, lead)
-        lead_to_d[lead] = d
-    return table, lead_to_d
+            raise ExpansionError("no unique leader for %s" % (d,))
+        if leaders[0] in owner:
+            raise ExpansionError("leader collision %s vs %s" % (owner[leaders[0]], d))
+        owner[leaders[0]] = d
+    return owner
 
 
-def expand_in_standard_monomials(x: ToricElement, name: str, p: int,
-                                 box_radius: int = 4):
+def _sm_leading_map(name: str, p: int, box_radius: int, eps):
+    """Leading principal point -> d for the standard monomials over a box;
+    the grading eps makes each leader unique, and no two may collide."""
+    n = catalog.get(name).model.n
+    rng = range(-box_radius, box_radius + 1)
+    return _unique_leaders({d: standard_monomial(name, d, p)
+                            for d in product(rng, repeat=n)}, eps, n)
+
+
+def _sm_leader(name: str, d):
+    """Principal point of the epsilon-leader of the standard monomial at d:
+    lead_i(d) = sum_j r_ij d+_j - d_i, with r_ij the arrows i -> j."""
+    r = catalog.get(name).model.exch.r
+    return tuple(sum(rij * max(dj, 0) for rij, dj in zip(row, d)) - di
+                 for row, di in zip(r, d))
+
+
+def _sm_preimage(name: str, pt):
+    """The d whose standard monomial leads at pt.  An arrow i -> j puts j
+    after i in topological order, so d_i = sum_j r_ij d+_j - pt_i is solved
+    in one pass over the principal vertices in reverse topological order."""
+    entry = catalog.get(name)
+    r = entry.model.exch.r
+    d = [0] * entry.model.n
+    for v in reversed(entry.principal.topo):
+        d[v - 1] = sum(rij * max(dj, 0) for rij, dj in zip(r[v - 1], d)) - pt[v - 1]
+    return tuple(d)
+
+
+def expand_in_standard_monomials(x: ToricElement, name: str, p: int):
     """Coefficients of x in the standard monomials, by eliminating the
     epsilon-maximal component at each step; coefficients are elements of the
-    frozen subtorus (q-powers times frozen monomials)."""
-    entry = catalog.get(name)
-    model = entry.model
-    eps = entry.epsilon
-    table, lead_to_d = _sm_leading_map(name, p, box_radius)
+    frozen subtorus (q-powers times frozen monomials).
+
+    The residual's leading point pt leads the standard monomial at
+    _sm_preimage(pt), built when it is first visited.  Every term of the
+    standard monomial at d has epsilon-degree at least that of its single
+    copoint term, at lead(d) + B d+, and distinct d have distinct copoints;
+    so while x lies in the span no residual leader falls below the least
+    degree among the terms of x.  The expansion stops there with its
+    residual.  Each step removes its point and adds only lower ones, so the
+    loop ends.
+    """
+    model = catalog.get(name).model
+    n = model.n
+    eps = graded_epsilon(name)
+    if eps is None:
+        raise ExpansionError("no grading form on %s" % name)
     torus = model.torus(SpecializedMode(p))
+    floor = min((sum(a * b for a, b in zip(eps, e[:n])) for e in x.terms), default=0)
     coeffs = {}
     residual = x
-    steps = 0
     while residual:
-        steps += 1
-        if steps > 10000:
-            raise ExpansionError("expansion did not terminate", residual)
-        pt = _eps_leaders(residual, eps, model.n)[0]
-        d = lead_to_d.get(pt)
-        if d is None:
-            raise ExpansionError("point %s is not a standard-monomial leader" % (pt,),
-                                 residual)
-        sm, _ = table[d]
-        smlead = [(e, c) for e, c in sm.terms.items() if e[: model.n] == pt]
+        pt = _eps_leaders(residual, eps, n)[0]
+        if sum(a * b for a, b in zip(eps, pt)) < floor:
+            raise ExpansionError("leading point %s is below the degree floor %d"
+                                 % (pt, floor), residual)
+        d = _sm_preimage(name, pt)
+        sm = standard_monomial(name, d, p)
+        if _eps_leaders(sm, eps, n) != [pt]:
+            raise ExpansionError("standard monomial %s does not lead at %s" % (d, pt))
+        smlead = [(e, c) for e, c in sm.terms.items() if e[:n] == pt]
         if len(smlead) != 1:
             raise ExpansionError("leader of %s is not a single term" % (d,))
         le, lc = smlead[0]
         lead_inv = torus.monomial(le, lc).inverse()
         comp = ToricElement(torus, {e: c for e, c in residual.terms.items()
-                                    if e[: model.n] == pt})
+                                    if e[:n] == pt})
         u = comp * lead_inv
-        if any(e[: model.n] != (0,) * model.n for e in u.terms):
+        if any(e[:n] != (0,) * n for e in u.terms):
             raise ExpansionError("coefficient left the frozen subtorus", residual)
         coeffs[d] = coeffs.get(d, torus.zero()) + u
         residual = residual - u * sm
     return coeffs
-
-
-def _sm_leading_degree(name: str, d, eps):
-    """epsilon-degree of the leading point of the standard monomial at d."""
-    entry = catalog.get(name)
-    n = entry.model.n
-    dplus = tuple(max(v, 0) for v in d)
-    lam = tuple(
-        -entry.model.euler(tuple(1 if k == i else 0 for k in range(n)), dplus)
-        + max(-d[i], 0)
-        for i in range(n))
-    return sum(a * b for a, b in zip(eps, lam))
 
 
 def leading_coefficient_is_monomial(coeffs, name: str, eps):
@@ -779,7 +800,8 @@ def leading_coefficient_is_monomial(coeffs, name: str, eps):
     nonzero = [(d, u) for d, u in coeffs.items() if u]
     if not nonzero:
         return False, None
-    best_d, u = max(nonzero, key=lambda du: _sm_leading_degree(name, du[0], eps))
+    best_d, u = max(nonzero, key=lambda du: sum(
+        a * b for a, b in zip(eps, _sm_leader(name, du[0]))))
     if len(u.terms) != 1:
         return False, best_d
     c = next(iter(u.terms.values()))
@@ -803,65 +825,55 @@ def finite_cluster_variables(name: str, p: int, bound=1):
 def verify_standard_monomials(name: str, p: int, box_radius: int = 2) -> list[VerifyReport]:
     """Independence of the standard monomials over a box, expansion of the
     once-mutated frame variables, and the leading-monomial property of the
-    finite-type cluster variables."""
+    finite-type cluster variables; skipped on a quiver without a grading."""
     entry = catalog.get(name)
     model = entry.model
-    eps = entry.epsilon
-    reports = []
+    eps = graded_epsilon(name)
+    inputs = "%s p=%d box=%d" % (name, p, box_radius)
+    if eps is None:
+        return [VerifyReport("prop4.5", inputs, verdict="skip", detail="not graded")]
     try:
-        table, lead_to_d = _sm_leading_map(name, p, box_radius)
-        reports.append(VerifyReport(
-            "prop4.5", "%s p=%d box=%d independence" % (name, p, box_radius),
-            verdict="pass",
-            detail="%d monomials, distinct unique leaders" % len(table)))
+        leaders = _sm_leading_map(name, p, box_radius, eps)
     except ExpansionError as exc:
-        reports.append(VerifyReport(
-            "prop4.5", "%s p=%d box=%d independence" % (name, p, box_radius),
-            verdict="fail", detail=str(exc)))
-        return reports
+        return [VerifyReport("prop4.5", inputs + " independence",
+                             verdict="fail", detail=str(exc))]
+    reports = [VerifyReport("prop4.5", inputs + " independence", verdict="pass",
+                            detail="%d monomials, distinct unique leaders" % len(leaders))]
     # frame variables after one mutation expand in standard monomials
     seed0 = QuantumSeed.initial(model, SpecializedMode(p))
-    ok = True
     detail = ""
     for k in range(1, model.n + 1):
         var = seed0.mutate(k).vars[k - 1]
         try:
-            coeffs = expand_in_standard_monomials(var, name, p, box_radius + 2)
+            coeffs = expand_in_standard_monomials(var, name, p)
         except ExpansionError as exc:
-            ok = False
             detail = "mutated variable %d: %s" % (k, exc)
             break
         ek = tuple(1 if i == k - 1 else 0 for i in range(model.n))
         unit = coeffs.get(ek)
         if unit is None or len(coeffs) != 1 or len(unit.terms) != 1:
-            ok = False
             detail = "mutated variable %d is not the standard monomial" % k
             break
     reports.append(VerifyReport(
         "prop4.5", "%s p=%d mutated-variable expansion" % (name, p),
-        verdict="pass" if ok else "fail", detail=detail))
+        verdict="fail" if detail else "pass", detail=detail))
     # finite-type cluster variables: leading coefficient is a monomial
     if entry.delta is None:
-        ok = True
+        variables = finite_cluster_variables(name, p)
         detail = ""
-        count = 0
-        for d, x in finite_cluster_variables(name, p):
+        for d, x in variables:
             try:
-                coeffs = expand_in_standard_monomials(x, name, p, box_radius + 2)
+                coeffs = expand_in_standard_monomials(x, name, p)
             except ExpansionError as exc:
-                ok = False
                 detail = "variable %s: %s" % (d, exc)
                 break
-            good, lead = leading_coefficient_is_monomial(coeffs, name, eps)
-            if not good:
-                ok = False
+            if not leading_coefficient_is_monomial(coeffs, name, eps)[0]:
                 detail = "variable %s leading coefficient not a monomial" % (d,)
                 break
-            count += 1
         reports.append(VerifyReport(
             "prop4.5", "%s p=%d cluster-variable leading terms" % (name, p),
-            verdict="pass" if ok else "fail",
-            detail=detail or "%d variables" % count))
+            verdict="fail" if detail else "pass",
+            detail=detail or "%d variables" % len(variables)))
     return reports
 
 
@@ -870,57 +882,38 @@ def verify_standard_monomials(name: str, p: int, box_radius: int = 2) -> list[Ve
 
 
 def generic_basis(name: str, p: int, box_radius: int):
-    """X_d for d in the box, with an independence and integrality report."""
+    """X_d for d in the box, with an independence and integrality report;
+    both are skipped on a quiver without a grading."""
     entry = catalog.get(name)
     model = entry.model
-    eps = entry.epsilon
-    elems = {}
+    eps = graded_epsilon(name)
     rng = range(-box_radius, box_radius + 1)
-    for d in product(rng, repeat=model.n):
-        elems[d] = generic_variable(name, d, p)
-    reports = []
-    if eps is not None:
-        leaders = {}
-        ok = True
+    elems = {d: generic_variable(name, d, p) for d in product(rng, repeat=model.n)}
+    inputs = "%s p=%d box=%d" % (name, p, box_radius)
+    if eps is None:
+        return elems, [VerifyReport("basis", inputs, verdict="skip", detail="not graded")]
+    try:
+        _unique_leaders(elems, eps, model.n)
         detail = ""
-        for d, x in sorted(elems.items()):
-            l = _eps_leaders(x, eps, model.n)
-            if len(l) != 1:
-                ok = False
-                detail = "no unique leader for %s" % (d,)
-                break
-            if l[0] in leaders:
-                ok = False
-                detail = "leader collision %s vs %s" % (leaders[l[0]], d)
-                break
-            leaders[l[0]] = d
-        reports.append(VerifyReport(
-            "basis", "%s p=%d box=%d independence" % (name, p, box_radius),
-            verdict="pass" if ok else "fail", detail=detail))
-    if eps is not None and entry.delta is not None:
-        ok = True
+    except ExpansionError as exc:
+        detail = str(exc)
+    reports = [VerifyReport("basis", inputs + " independence",
+                            verdict="fail" if detail else "pass", detail=detail)]
+    if entry.delta is not None:
         detail = ""
         for d, x in sorted(elems.items()):
             try:
-                coeffs = expand_in_standard_monomials(x, name, p,
-                                                      box_radius + 3)
+                coeffs = expand_in_standard_monomials(x, name, p)
             except ExpansionError as exc:
-                ok = False
                 detail = "expansion failed for %s: %s" % (d, exc)
                 break
-            for dd, u in coeffs.items():
-                for c in u.terms.values():
-                    if not c.is_p_integral():
-                        ok = False
-                        detail = "non-integral coefficient at %s in %s" % (dd, d)
-                        break
-                if not ok:
-                    break
-            if not ok:
+            bad = [dd for dd, u in coeffs.items()
+                   if not all(c.is_p_integral() for c in u.terms.values())]
+            if bad:
+                detail = "non-integral coefficient at %s in %s" % (bad[0], d)
                 break
-        reports.append(VerifyReport(
-            "basis", "%s p=%d box=%d integrality" % (name, p, box_radius),
-            verdict="pass" if ok else "fail", detail=detail))
+        reports.append(VerifyReport("basis", inputs + " integrality",
+                                    verdict="fail" if detail else "pass", detail=detail))
     return elems, reports
 
 

@@ -355,3 +355,15 @@ def test_ccmap_repeated_shift_counts_twice(capsys):
     assert run_cli("ccmap", "--quiver", "kronecker", "--rep", "s1.rep",
                    "--shift", "3,3") == 0
     assert capsys.readouterr().out.strip() == "1 * X^(-1,0,3,0) + 1 * X^(-1,2,2,0)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "prop4.5", "--quiver", "dtilde4"),
+    ("basis", "--quiver", "dtilde4", "--box", "0"),
+    ("basis", "--quiver", "atilde22", "--box", "0"),
+])
+def test_ungraded_quiver_is_reported_as_skip(capsys, argv):
+    rc = run_cli(*argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(lines) == 1 and lines[0].endswith("skip (not graded)")

@@ -120,7 +120,7 @@ def test_expand_standard_monomial_round_trip():
     from qcluster.seeds import standard_monomial
     for d in [(2, -1), (0, 2), (-2, -2)]:
         x = standard_monomial("a2", d, 3)
-        coeffs = harness.expand_in_standard_monomials(x, "a2", 3, box_radius=3)
+        coeffs = harness.expand_in_standard_monomials(x, "a2", 3)
         assert set(coeffs) == {d}
         u = coeffs[d]
         assert len(u.terms) == 1
@@ -130,10 +130,12 @@ def test_expand_error_off_span():
     torus = catalog.get("a2").model.torus
     from qcluster.scalars import SpecializedMode
     t = torus(SpecializedMode(3))
-    # a stray monomial far outside the box cannot be expanded
-    x = t.monomial((9, 9, 0, 0))
-    with pytest.raises(harness.ExpansionError):
-        harness.expand_in_standard_monomials(x, "a2", 3, box_radius=1)
+    # X^(-1,0) is no combination of standard monomials: the residual falls
+    # below the least degree of the input and the expansion stops there
+    x = t.monomial((-1, 0, 0, 0))
+    with pytest.raises(harness.ExpansionError) as info:
+        harness.expand_in_standard_monomials(x, "a2", 3)
+    assert info.value.residual
 
 
 def test_reflection_transport_catalog():

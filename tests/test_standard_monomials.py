@@ -1,6 +1,6 @@
 """The cached standard-monomial layer: pinned verify output (every verify id
-at its defaults), equality with the direct ordered product, and reuse of the
-box tables."""
+at its defaults), equality with the direct ordered product, and the
+closed-form leader that the expansion inverts."""
 
 import hashlib
 from itertools import product
@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from qcluster import catalog, cli, harness
-from qcluster.ccmap import ClusterObject, cc_map
+from qcluster.ccmap import ClusterObject, cc_map, generic_variable
 from qcluster.rep import simple
 from qcluster.scalars import SpecializedMode, qpow, specialize
 from qcluster.seeds import standard_monomial
@@ -62,25 +62,50 @@ def test_cached_standard_monomial_matches_direct_product(name):
         assert cached.render() == direct.render(), d
 
 
-def test_expansion_reuses_the_box_table():
-    x = standard_monomial("a2", (1, -1), 3)
-    harness.expand_in_standard_monomials(x, "a2", 3, box_radius=2)
-    before = harness._sm_leading_map.cache_info()
-    coeffs = harness.expand_in_standard_monomials(x, "a2", 3, box_radius=2)
-    after = harness._sm_leading_map.cache_info()
-    assert set(coeffs) == {(1, -1)}
-    assert after.misses == before.misses
-    assert after.hits == before.hits + 1
-    assert after.currsize == before.currsize
+GRADED = ["a2", "a2bare", "a3", "kronecker", "atilde21", "atilde12", "atilde31"]
+
+
+@pytest.mark.parametrize("name", GRADED)
+def test_closed_form_leader_copoint_and_preimage(name):
+    # over the radius-2 box: the standard monomial at d leads at lead(d),
+    # its unique lowest point is lead(d) + B d+, and lead(d) inverts to d
+    model = catalog.get(name).model
+    n, b = model.n, model.exch.b
+    eps = harness.graded_epsilon(name)
+    neg = tuple(-x for x in eps)
+    for d in product(range(-2, 3), repeat=n):
+        sm = standard_monomial(name, d, 3)
+        lead = harness._sm_leader(name, d)
+        assert harness._eps_leaders(sm, eps, n) == [lead], d
+        dplus = [max(x, 0) for x in d]
+        copoint = tuple(lead[i] + sum(b[i][j] * dplus[j] for j in range(n))
+                        for i in range(n))
+        assert harness._eps_leaders(sm, neg, n) == [copoint], d
+        assert harness._sm_preimage(name, lead) == d
+
+
+@pytest.mark.parametrize("name, d, far", [
+    ("atilde21", (2, -2, 2), (0, -6, 0)),
+    ("atilde12", (2, 2, -2), (0, 0, -6)),
+], ids=["atilde21", "atilde12"])
+def test_expansion_reaches_points_outside_any_box(name, d, far):
+    # far lies outside the radius-5 box around the radius-2 basis box; the
+    # expansion reaches it by inverting the leader map, with no table
+    x = generic_variable(name, d, 3)
+    coeffs = harness.expand_in_standard_monomials(x, name, 3)
+    assert len(coeffs) == 3 and far in coeffs and d in coeffs
+    assert all(c.is_p_integral() for u in coeffs.values() for c in u.terms.values())
 
 
 def test_failed_table_build_is_not_cached():
-    # dtilde4 has no grading form, so its table cannot be built
-    before = harness._sm_leading_map.cache_info().currsize
+    # dtilde4 has no grading form: prop4.5 skips it and an expansion raises,
+    # on every call
+    x = standard_monomial("dtilde4", (0,) * 5, 3)
     for _ in range(2):
-        with pytest.raises(harness.ExpansionError):
-            harness._sm_leading_map("dtilde4", 3, 1)
-    assert harness._sm_leading_map.cache_info().currsize == before
+        reports = harness.verify_standard_monomials("dtilde4", 3)
+        assert [(r.verdict, r.detail) for r in reports] == [("skip", "not graded")]
+        with pytest.raises(harness.ExpansionError, match="no grading form"):
+            harness.expand_in_standard_monomials(x, "dtilde4", 3)
 
 
 def test_specialized_qpow_is_shared_across_modes():
