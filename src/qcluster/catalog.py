@@ -9,13 +9,14 @@ explicit representations, cross-checked by the AR translate in the tests.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count
 
 from . import modp
 from . import rep as R
 from .families import RepFamily
-from .hall import ClassStore, dim_vectors_upto
-from .quiver import ClusterModel, IceQuiver, standard_framing
+from .hall import ClassStore
+from .quiver import ClusterModel, IceQuiver, euler_form_full, standard_framing
 
 PAPER_KRONECKER_LAM = (
     (0, 0, -1, 0),
@@ -233,31 +234,92 @@ def tube_module(name: str, p: int, tube_index: int, i: int, length: int):
     return store.nonsplit_middle(top, below)
 
 
+@lru_cache(maxsize=None)
+def _coxeter_period(name):
+    """The least h >= 1 with c^h x - x in Z delta for every x, for the
+    Coxeter transform c of a Euclidean quiver (c fixes delta and has finite
+    order on Z^n / Z delta, where the Euler form is positive definite)."""
+    q, delta = get(name).principal, get(name).delta
+    units = [tuple(int(u == v) for u in range(q.m)) for v in range(q.m)]
+    xs = units
+    for h in count(1):
+        xs = [R.coxeter_transform(q, x) for x in xs]
+        # delta is primitive, so a rational multiple of it is an integer one
+        if all((a - b) * delta[0] == (x[0] - u[0]) * dv
+               for x, u in zip(xs, units) for a, b, dv in zip(x, u, delta)):
+            return h
+
+
 def rigid_indecomposables(name: str, p: int, bound_vec):
-    """Indecomposable rigid classes with dimension vector under the bound."""
-    store = store_for(name, p)
-    out = []
-    for dims in dim_vectors_upto(len(bound_vec), bound_vec=bound_vec):
-        for M in store.iso_classes(dims):
-            if R.is_rigid(M) and R.is_indecomposable(M):
-                out.append(M)
-    return out
+    """The rigid indecomposables with dimension vector under the bound, one
+    per dimension vector, built rather than enumerated: the preprojectives
+    tau^-k P_i, the preinjectives tau^k I_i and the tube modules of
+    quasi-length 1..rank-1 (Crawley-Boevey, Lectures on representations of
+    quivers), each walked as an orbit of the translate.
+
+    An orbit's dimension vectors are read off the Coxeter transform first,
+    and no member after the last new one under the bound is built.  A Dynkin
+    orbit ends where its vector turns negative.  On a Euclidean quiver
+    c^h x = x + m delta with m >= 1 along a preprojective or preinjective
+    orbit, so no member past h * (1 + min_v bound_v // delta_v) steps fits.
+    The members and vectors walked stay on the store and are freed with its
+    meter.
+    """
+    entry = get(name)
+    q = entry.principal
+    built = store_for(name, p).derived.setdefault("rigid_indecomposables", {})
+    found = {}
+
+    def fits(dims):
+        return any(dims) and all(0 <= d <= b for d, b in zip(dims, bound_vec))
+
+    def walk(key, first_dims, first, translate, step_quiver, steps):
+        if key not in built:
+            built[key] = ([first_dims()], [])
+        dims, orbit = built[key]
+        while (steps is None or len(dims) < steps) and min(dims[-1]) >= 0:
+            dims.append(R.coxeter_transform(step_quiver, dims[-1]))
+        keep = [k for k, d in enumerate(dims[:steps]) if fits(d) and d not in found]
+        while keep and len(orbit) <= keep[-1]:
+            orbit.append(translate(orbit[-1]) if orbit else first())
+        found.update((dims[k], orbit[k]) for k in keep)
+
+    steps = None
+    if entry.delta is not None:
+        steps = _coxeter_period(name) * (
+            1 + min(b // dv for b, dv in zip(bound_vec, entry.delta)))
+    qop = q.op()
+    # on a Dynkin quiver the preinjective orbits are the preprojective ones
+    # read backwards, so they add nothing once those are walked
+    for i in range(1, q.m + 1):
+        walk(("preprojective", i), partial(R.proj_dim_vector, q, i),
+             partial(R.projective, q, p, i), R.tau_inverse, qop, steps)
+    for i in range(1, q.m + 1):
+        walk(("preinjective", i), partial(R.proj_dim_vector, qop, i),
+             partial(R.injective, q, p, i), R.tau, q, steps)
+    for t, tube in enumerate(entry.tubes):
+        for length in range(1, len(tube)):
+            walk(("tube", t, length),
+                 lambda: tuple(map(sum, zip(*(build(p).dims for build in tube[:length])))),
+                 partial(tube_module, name, p, t, 1, length), R.tau, q, len(tube))
+    return list(found.values())
 
 
 def find_rigid_module(name: str, p: int, dims):
     """A rigid module with the given dimension vector, or None.
 
-    Searches sums of indecomposable rigid summands with vanishing extensions
-    in both directions; first hit in catalog order wins.
+    Searches sums of the rigid indecomposables under dims with vanishing
+    extensions between summands in both directions.  A rigid module is
+    determined by its dimension vector, so the hit does not depend on the
+    search order.
     """
     return _rigid_sum(store_for(name, p), rigid_indecomposables(name, p, dims), dims)
 
 
 def find_delta_decomposition(name: str, p: int, dims):
-    """(n, regular rigid R) with dims = n*delta + dim R, or None.
-
-    Tube parts are chosen lowest tube first, then lowest simple index.
-    """
+    """(n, regular rigid R) with dims = n*delta + dim R and n >= 1 least, or
+    None.  The parts of R are the rigid indecomposables of defect
+    <delta, dim> = 0, that is, the tube modules below the rank."""
     entry = get(name)
     if entry.delta is None:
         return None
@@ -265,13 +327,14 @@ def find_delta_decomposition(name: str, p: int, dims):
     if any(d < 0 for d in dims):
         return None
     store = store_for(name, p)
-    tube_simples = [M for t in range(len(entry.tubes)) for M in entry.tube_simples(p, t)]
+    regular = [M for M in rigid_indecomposables(name, p, dims)
+               if euler_form_full(entry.principal, entry.delta, M.dims) == 0]
     n = 1
     while True:
         rest = tuple(d - n * dv for d, dv in zip(dims, entry.delta))
         if any(r < 0 for r in rest):
             return None
-        reg = _rigid_sum(store, tube_simples, rest)
+        reg = _rigid_sum(store, regular, rest)
         if reg is not None:
             return n, reg
         n += 1

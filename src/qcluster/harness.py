@@ -882,16 +882,16 @@ def verify_standard_monomials(name: str, p: int, box_radius: int = 2) -> list[Ve
 
 
 def generic_basis(name: str, p: int, box_radius: int):
-    """X_d for d in the box, with an independence and integrality report;
-    both are skipped on a quiver without a grading."""
+    """X_d for d in the box, with an independence and integrality report; on
+    a quiver without a grading no element is built and both are skipped."""
     entry = catalog.get(name)
     model = entry.model
     eps = graded_epsilon(name)
-    rng = range(-box_radius, box_radius + 1)
-    elems = {d: generic_variable(name, d, p) for d in product(rng, repeat=model.n)}
     inputs = "%s p=%d box=%d" % (name, p, box_radius)
     if eps is None:
-        return elems, [VerifyReport("basis", inputs, verdict="skip", detail="not graded")]
+        return {}, [VerifyReport("basis", inputs, verdict="skip", detail="not graded")]
+    rng = range(-box_radius, box_radius + 1)
+    elems = {d: generic_variable(name, d, p) for d in product(rng, repeat=model.n)}
     try:
         _unique_leaders(elems, eps, model.n)
         detail = ""

@@ -109,12 +109,6 @@ class IceQuiver:
         arr = [(t, s) if s == v or t == v else (s, t) for s, t in self.arrows]
         return IceQuiver(self.m, self.n, arr)
 
-    def adjacency(self):
-        A = [[0] * self.m for _ in range(self.m)]
-        for s, t in self.arrows:
-            A[s - 1][t - 1] += 1
-        return tuple(tuple(r) for r in A)
-
     # arrows compare in their listed order: a representation's matrices are
     # indexed by arrow position
     def __eq__(self, other):
@@ -217,14 +211,10 @@ def euler_form(r_matrix, a, b) -> int:
 
 
 def euler_form_full(quiver: IceQuiver, a, b) -> int:
-    """Euler form over the whole (framed) quiver, length-m vectors."""
-    A = quiver.adjacency()
-    total = 0
-    for i in range(quiver.m):
-        if not a[i]:
-            continue
-        total += a[i] * (b[i] - sum(A[i][j] * b[j] for j in range(quiver.m)))
-    return total
+    """Euler form over the whole (framed) quiver, length-m vectors:
+    sum_v a_v b_v minus a_s b_t for each arrow s -> t."""
+    return (sum(x * y for x, y in zip(a, b))
+            - sum(a[s - 1] * b[t - 1] for s, t in quiver.arrows))
 
 
 def pairing(lam, u, v) -> int:

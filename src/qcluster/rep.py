@@ -509,36 +509,16 @@ def proj_dim_vector(quiver, i):
                  for v in range(1, quiver.m + 1))
 
 
-def cartan_matrix(quiver):
-    """C with column j the dimension vector of the projective at j."""
-    cols = [proj_dim_vector(quiver, j) for j in range(1, quiver.m + 1)]
-    return tuple(tuple(cols[j][i] for j in range(quiver.m)) for i in range(quiver.m))
-
-
 def coxeter_transform(quiver, dvec):
-    """-C^T C^{-1} applied to an integer vector (exact rational arithmetic)."""
-    from fractions import Fraction
-    m = quiver.m
-    C = cartan_matrix(quiver)
-    # solve C x = dvec over Q
-    aug = [[Fraction(C[i][j]) for j in range(m)] + [Fraction(dvec[i])] for i in range(m)]
-    for c in range(m):
-        piv = next(r for r in range(c, m) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c]:
-                fr = aug[r][c]
-                aug[r] = [x - fr * y for x, y in zip(aug[r], aug[c])]
-    x = [aug[i][m] for i in range(m)]
-    out = []
-    for i in range(m):
-        val = -sum(C[j][i] * x[j] for j in range(m))
-        if val.denominator != 1:
-            raise RepError("Coxeter transform not integral")
-        out.append(int(val))
-    return tuple(out)
+    """-C^T C^{-1} applied to an integer vector: the simple reflections
+    x -> x - (x, e_v) e_v, for the symmetrized Euler form (a, b) = <a, b> +
+    <b, a>, applied sinks first.  It maps dim M to dim tau M when M has no
+    projective summand; over quiver.op() it gives dim tau^-1 M."""
+    x = list(dvec)
+    for v in reversed(quiver.topo):
+        unit = tuple(int(u == v) for u in range(1, quiver.m + 1))
+        x[v - 1] -= euler_form_full(quiver, x, unit) + euler_form_full(quiver, unit, x)
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@ import pytest
 
 from qcluster import catalog
 from qcluster import rep as R
+from qcluster.ccmap import generic_variable
+from qcluster.hall import dim_vectors_upto
+from qcluster.modp import Budget
 from qcluster.quiver import check_compatible
 
 
@@ -95,6 +98,60 @@ def test_rigid_search():
     assert n == 2 and reg.is_zero()
     n, reg = catalog.find_delta_decomposition("atilde21", 3, (2, 1, 2))
     assert n == 1 and reg.dims == (1, 0, 1)
+    # the regular part is a rank-3 tube module of quasi-length 2, not a sum
+    # of tube simples
+    assert generic_variable("atilde31", (1, 2, 2, 1), 3)
+    n, reg = catalog.find_delta_decomposition("atilde31", 3, (1, 2, 2, 1))
+    assert n == 1 and reg.dims == (0, 1, 1, 0)
+
+
+def _enumerated_rigid_indecomposables(name, p, bound):
+    """dims -> the rigid indecomposable classes of those dims, by
+    enumerating and filtering every iso class under the bound."""
+    store = catalog.store_for(name, p)
+    out = {}
+    for dims in dim_vectors_upto(len(bound), bound_vec=bound):
+        for M in store.iso_classes(dims):
+            if R.is_rigid(M) and R.is_indecomposable(M):
+                out.setdefault(dims, []).append(M)
+    return out
+
+
+# the missing tubes of dtilde4 hold these regular simples
+DTILDE4_UNLISTED = {(1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 1, 0)}
+
+
+@pytest.mark.parametrize("name, bound, count", [
+    ("a2", (2, 2), 3),
+    ("a3", (1, 2, 1), 6),
+    ("kronecker", (3, 2), 5),
+    ("atilde21", (2, 2, 2), 10),
+    ("atilde12", (2, 2, 2), 10),
+    ("atilde31", (1, 2, 2, 1), 12),
+    # orbits whose vectors do not grow at every step: P_1 = (1, 0, 1, 1, 1)
+    # exceeds the second bound, but tau^-1 P_1 = (0, 1, 2, 1, 1) fits it
+    ("dtilde4", (1, 1, 2, 1, 1), 20),
+    ("dtilde4", (0, 1, 2, 1, 1), 10),
+])
+@pytest.mark.parametrize("p", [2, 3])
+def test_constructed_rigid_indecomposables_match_enumeration(name, bound, count, p):
+    with Budget():
+        built = catalog.rigid_indecomposables(name, p, bound)
+        ref = _enumerated_rigid_indecomposables(name, p, bound)
+    by_dims = {M.dims: M for M in built}
+    assert len(by_dims) == len(built) == count
+    assert all(len(classes) == 1 for classes in ref.values())
+    unlisted = DTILDE4_UNLISTED if name == "dtilde4" else set()
+    assert set(by_dims) == set(ref) - unlisted
+    assert all(R.iso_test(M, ref[dims][0]) for dims, M in by_dims.items())
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_rigid_indecomposables_enumerate_nothing_without_tubes(name):
+    bound = (4,) * catalog.get(name).principal.n
+    with Budget(matrix_tuples=0, hom_elements=0):
+        built = catalog.rigid_indecomposables(name, 3, bound)
+    assert all(R.is_rigid(M) and R.is_indecomposable(M) for M in built)
 
 
 def test_delta_isotropic():

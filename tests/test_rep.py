@@ -1,6 +1,6 @@
 import pytest
 
-from qcluster import modp
+from qcluster import catalog, modp
 from qcluster.quiver import IceQuiver, standard_framing
 from qcluster.rep import (
     ProjectiveSummandError,
@@ -9,7 +9,6 @@ from qcluster.rep import (
     all_grassmannian_counts,
     aut_count,
     bgp_reflect,
-    cartan_matrix,
     coxeter_transform,
     direct_sum,
     ext_dim,
@@ -22,6 +21,7 @@ from qcluster.rep import (
     is_rigid,
     iso_test,
     min_proj_presentation,
+    proj_dim_vector,
     projective,
     quotient_rep,
     radical_bases,
@@ -201,9 +201,15 @@ def test_coxeter_matches_tau():
     assert coxeter_transform(KRON, r.dims) == tau(r).dims
 
 
-def test_cartan_matrix_a2():
-    # columns are dimension vectors of projectives
-    assert cartan_matrix(A2) == ((1, 1), (0, 1))
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_coxeter_sends_projectives_to_negative_injectives(name):
+    # -C^T C^-1 maps column i of C, dim P_i, to minus row i, -dim I_i; the
+    # P_i span, so this pins the transform on every vector
+    entry = catalog.get(name)
+    for q in (entry.principal, entry.framed):
+        for i in range(1, q.m + 1):
+            want = tuple(-d for d in proj_dim_vector(q.op(), i))
+            assert coxeter_transform(q, proj_dim_vector(q, i)) == want
 
 
 def test_bgp_reflection():
