@@ -272,8 +272,13 @@ def _verify_jobs(statement: str, quivers, primes):
     if statement not in harness.STATEMENTS:
         raise InputError("unknown statement %r (have %s)"
                          % (statement, ", ".join(harness.STATEMENTS)))
+    spec = harness.STATEMENTS[statement]
     # a quiver or prime named twice runs once, at its first place
-    names = dict.fromkeys(quivers or harness.STATEMENTS[statement].quivers)
+    names = dict.fromkeys(quivers or spec.quivers)
+    for name in names:
+        if spec.covers is not None and name not in spec.covers:
+            raise InputError("%s is about %s only, not quiver %s"
+                             % (statement, ", ".join(spec.covers), name))
     return [(statement, name, p) for p in dict.fromkeys(primes) for name in names]
 
 

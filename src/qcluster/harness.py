@@ -1006,10 +1006,12 @@ def verify_parameter_independence(name: str, p: int) -> VerifyReport:
 class Statement(NamedTuple):
     """A verify id: the quivers it runs on by default, whether it is one of
     the affine statements (which assume a field with more than two
-    elements), and its unit (name, p, all_pairs) -> reports."""
+    elements), its unit (name, p, all_pairs) -> reports, and the only
+    quivers it is about (None for any catalog quiver)."""
     quivers: tuple
     affine: bool
     unit: Callable[[str, int, bool], list]
+    covers: tuple | None = None
 
 
 def _no_pairs(check):
@@ -1027,6 +1029,9 @@ ALL_PAIRS_HELP = ("thm3.3, thm3.5 and thm3.8 sweep the full desk bounds "
                   "instead of the quick subset; green always sweeps the "
                   "quick subset and prop4.3 total dimension <= 3")
 
+# the catalog quivers with a non-homogeneous tube, which the tube ids are about
+TUBED = tuple(name for name in catalog.NAMES if catalog.get(name).tubes)
+
 # the verify ids, in the order of `qcluster verify --help`
 STATEMENTS = {
     "thm3.3": Statement(("a2", "a3", "kronecker"), False, sweep_hall),
@@ -1034,15 +1039,18 @@ STATEMENTS = {
     "thm3.5": Statement(("a2", "a2bare", "a3", "kronecker"), False, sweep_onedim),
     "thm3.8": Statement(("a2", "a3", "kronecker"), False, sweep_exchange),
     "lem5.2": Statement(("atilde21", "atilde22"), True, _each_tube(
-        lambda name, t, p: [verify_tube_recursion(name, t, i, p) for i in (1, 2)])),
+        lambda name, t, p: [verify_tube_recursion(name, t, i, p) for i in (1, 2)]),
+        TUBED),
     "lem5.4": Statement(("kronecker",), True, lambda name, p, all_pairs:
-                        verify_kronecker(p) + [verify_kronecker_formal()]),
+                        verify_kronecker(p) + [verify_kronecker_formal()],
+                        ("kronecker",)),
     "prop4.3": Statement(("a2", "a3"), False, _no_pairs(cone_sweep)),
     "prop4.5": Statement(("a2", "a3"), False, _no_pairs(verify_standard_monomials)),
-    "prop6.1": Statement(("atilde12", "atilde22"), True, _no_pairs(verify_difference)),
-    "prop6.2": Statement(("dtilde4",), True, _no_pairs(verify_difference)),
+    "prop6.1": Statement(("atilde12", "atilde22"), True, _no_pairs(verify_difference),
+                         TUBED),
+    "prop6.2": Statement(("dtilde4",), True, _no_pairs(verify_difference), TUBED),
     "conj6.4": Statement(("atilde21", "atilde12", "atilde22", "atilde31", "dtilde4"),
-                         True, _each_tube(check_conjecture)),
+                         True, _each_tube(check_conjecture), TUBED),
     "basis": Statement(("kronecker", "atilde21"), True,
                        lambda name, p, all_pairs: generic_basis(name, p, 1)[1]),
 }

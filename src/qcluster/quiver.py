@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 
-from .torus import Torus
+from .torus import Torus, pairing
 
 
 class QuiverError(ValueError):
@@ -215,11 +215,6 @@ def euler_form_full(quiver: IceQuiver, a, b) -> int:
     sum_v a_v b_v minus a_s b_t for each arrow s -> t."""
     return (sum(x * y for x, y in zip(a, b))
             - sum(a[s - 1] * b[t - 1] for s, t in quiver.arrows))
-
-
-def pairing(lam, u, v) -> int:
-    return sum(u[i] * lam[i][j] * v[j]
-               for i in range(len(lam)) for j in range(len(lam)) if u[i] and v[j])
 
 
 def check_compatible(lam, btilde):

@@ -443,60 +443,24 @@ def all_paths(quiver: IceQuiver):
     return paths
 
 
-def path_matrix(M: QuiverRep, seq):
-    """Composite of M's arrow matrices along the path (left to right order)."""
-    if not seq:
-        return None
-    q = M.quiver
-    src = q.arrows[seq[0]][0]
-    cols = M.dims[src - 1]
-    mat = M.mats[seq[0]]
-    for idx in seq[1:]:
-        rows = M.dims[q.arrows[idx][1] - 1]
-        mat = modp.mat_mul_shaped(M.mats[idx], mat, M.p, rows, cols)
-    return mat
-
-
-class ProjData:
-    """A direct sum of indecomposable projectives, with a labelled basis."""
-
-    def __init__(self, quiver, p, gens):
-        self.quiver = quiver
-        self.p = p
-        self.gens = tuple(gens)  # vertex index per generator
-        paths = all_paths(quiver)
-        self.basis = {v: [] for v in range(1, quiver.m + 1)}  # (gen#, path)
-        for g, i in enumerate(self.gens):
-            for src, tgt, seq in paths:
-                if src == i:
-                    self.basis[tgt].append((g, seq))
-        self.index = {v: {lab: k for k, lab in enumerate(self.basis[v])}
-                      for v in self.basis}
-
-    def dims(self):
-        return tuple(len(self.basis[v]) for v in range(1, self.quiver.m + 1))
-
-    def rep(self) -> QuiverRep:
-        q = self.quiver
-        mats = {}
-        for idx, (s, t) in enumerate(q.arrows):
-            rows = len(self.basis[t])
-            cols = len(self.basis[s])
-            mat = [[0] * cols for _ in range(rows)]
-            for j, (g, seq) in enumerate(self.basis[s]):
-                lab = (g, seq + (idx,))
-                mat[self.index[t][lab]][j] = 1
-            mats[idx] = tuple(tuple(r) for r in mat)
-        return QuiverRep(q, self.p, self.dims(), mats)
-
-
 def simple(quiver, p, i) -> QuiverRep:
     dims = tuple(1 if v == i else 0 for v in range(1, quiver.m + 1))
     return QuiverRep(quiver, p, dims, {})
 
 
 def projective(quiver, p, i) -> QuiverRep:
-    return ProjData(quiver, p, [i]).rep()
+    """P_i: its basis at v is the paths i -> v, and an arrow appends itself."""
+    basis = {v: [] for v in range(1, quiver.m + 1)}
+    for src, tgt, seq in all_paths(quiver):
+        if src == i:
+            basis[tgt].append(seq)
+    mats = {}
+    for idx, (s, t) in enumerate(quiver.arrows):
+        mat = [[0] * len(basis[s]) for _ in basis[t]]
+        for j, seq in enumerate(basis[s]):
+            mat[basis[t].index(seq + (idx,))][j] = 1
+        mats[idx] = mat
+    return QuiverRep(quiver, p, [len(basis[v]) for v in basis], mats)
 
 
 def injective(quiver, p, j) -> QuiverRep:
@@ -522,117 +486,28 @@ def coxeter_transform(quiver, dvec):
 
 
 # ---------------------------------------------------------------------------
-# Minimal projective presentation and the AR translate
-
-
-def _top_lifts(M: QuiverRep):
-    """Per vertex, vectors of M_v lifting a basis of (M / rad M)_v."""
-    rad = radical_bases(M)
-    out = []
-    for v in range(M.quiver.m):
-        d = M.dims[v]
-        rr, piv = (modp.rref(rad[v], M.p, d) if rad[v] else ((), []))
-        comp = [c for c in range(d) if c not in piv]
-        out.append([tuple(1 if j == c else 0 for j in range(d)) for c in comp])
-    return out
-
-
-def min_proj_presentation(M: QuiverRep):
-    """(p1, p0, h) with h the path-form matrix of a map p1 -> p0 whose
-    cokernel presents M minimally; entries of h are {path: coeff} dicts."""
-    q = M.quiver
-    p = M.p
-    lifts = _top_lifts(M)
-    gens0 = []
-    images0 = []
-    for v in range(1, q.m + 1):
-        for vec in lifts[v - 1]:
-            gens0.append(v)
-            images0.append(vec)
-    p0 = ProjData(q, p, gens0)
-    # pi: P0 -> M, column for basis (g, seq): path matrix applied to image
-    pi = []
-    for v in range(1, q.m + 1):
-        cols = []
-        for (g, seq) in p0.basis[v]:
-            vec = images0[g]
-            if seq:
-                mat = path_matrix(M, seq)
-                vec = modp.mat_vec(mat, vec, p)
-            cols.append(vec)
-        pi.append(modp.transpose(cols) if cols else modp.zeros(M.dims[v - 1], 0))
-    K, kernel_bases = kernel(pi, p0.rep())
-    klifts = _top_lifts(K)
-    gens1 = []
-    kimages = []  # generator images inside P0 coordinates
-    for v in range(1, q.m + 1):
-        for vec in klifts[v - 1]:
-            gens1.append(v)
-            # vec is in K coordinates; expand through the kernel basis
-            full = [sum(c * row[j] for c, row in zip(vec, kernel_bases[v - 1]))
-                    % p for j in range(len(p0.basis[v]))]
-            kimages.append(tuple(full))
-    p1 = ProjData(q, p, gens1)
-    # sanity: kernel of a map between projectives over a hereditary algebra
-    # is projective, so dims must match
-    if sum(K.dims) != sum(p1.dims()):
-        raise RepError("presentation kernel is not projective; arithmetic bug")
-    h = {}
-    for g1, (v, img) in enumerate(zip(gens1, kimages)):
-        for col, (g0, seq) in enumerate(p0.basis[v]):
-            c = img[col] % p
-            if c:
-                h.setdefault((g1, g0), {})[seq] = c
-    return p1, p0, h
-
-
-def nakayama_kernel(p1: ProjData, p0: ProjData, h):
-    """Kernel of nu(h): I(p1) -> I(p0) as a subrep of I(p1).
-
-    I(P) is the dual of the projective with P's generators over the opposite
-    quiver, so its basis labels at v are op-paths gens[g] -> v, that is,
-    reversed paths v -> gens[g].
-    """
-    q = p1.quiver
-    p = p1.p
-    qop = q.op()
-    i1 = ProjData(qop, p, p1.gens)
-    i0 = ProjData(qop, p, p0.gens)
-    nu = []
-    for v in range(1, q.m + 1):
-        rows = len(i0.basis[v])
-        cols = len(i1.basis[v])
-        mat = [[0] * cols for _ in range(rows)]
-        for j, (g1, seq) in enumerate(i1.basis[v]):   # op-path gens1[g1] -> v
-            for (gg1, g0), entry in h.items():
-                if gg1 != g1:
-                    continue
-                for rho, coeff in entry.items():
-                    # nu strips rho (a path gens0[g0] -> gens1[g1]) off the
-                    # end of the path, so rho reversed off the front of seq
-                    front = rho[::-1]
-                    if seq[:len(front)] == front:
-                        lab = (g0, seq[len(front):])
-                        if lab in i0.index[v]:
-                            mat[i0.index[v][lab]][j] = (mat[i0.index[v][lab]][j] + coeff) % p
-        nu.append(tuple(tuple(r) for r in mat))
-    return kernel(nu, op_rep(i1.rep()))[0]
+# The AR translate
 
 
 def tau(M: QuiverRep) -> QuiverRep:
-    """Auslander-Reiten translate via the Nakayama functor on a minimal
-    projective presentation.  Errors out on projective summands."""
+    """Auslander-Reiten translate as the Coxeter functor: the sink reflections
+    in reversed topological order, then every arrow map negated, which turns
+    the composite of bgp_reflect's kernel projections into tau.  The simple
+    split off at v counts the copies of P_v in M, so any of them is an error.
+    """
     if M.is_zero():
         return M
-    p1, p0, h = min_proj_presentation(M)
-    out = nakayama_kernel(p1, p0, h)
-    expected = coxeter_transform(M.quiver, M.dims)
-    if tuple(out.dims) != expected:
-        bad = [i for i in range(1, M.quiver.m + 1)
-               if split_complement(M, projective(M.quiver, M.p, i)) is not None]
+    out = M
+    summands = []
+    for v in reversed(M.quiver.topo):
+        out, mult = bgp_reflect(out, v)
+        if mult:
+            summands.append(v)
+    if summands:
         raise ProjectiveSummandError(
-            "module has projective summand(s) %s" % (bad or "?"))
-    return out
+            "module has projective summand(s) %s" % sorted(summands))
+    mats = {idx: [[-x for x in row] for row in mat] for idx, mat in out.mats.items()}
+    return QuiverRep(M.quiver, M.p, out.dims, mats)
 
 
 def op_rep(M: QuiverRep) -> QuiverRep:

@@ -13,10 +13,10 @@ from functools import lru_cache
 
 from . import catalog
 from .ccmap import ClusterObject, cc_map
-from .quiver import ClusterModel, check_compatible, pairing
+from .quiver import ClusterModel, check_compatible
 from .rep import simple
 from .scalars import FORMAL, SpecializedMode, qbinom, specialize
-from .torus import ToricElement, div_right
+from .torus import ToricElement, div_right, pairing
 
 
 class SeedError(ValueError):

@@ -43,6 +43,17 @@ def check_skew(lam):
                 raise TorusError("form is not skew-symmetric at (%d,%d)" % (i, j))
 
 
+def pairing(lam, e, f) -> int:
+    """The skew form e^T lam f."""
+    total = 0
+    for i, ei in enumerate(e):
+        if not ei:
+            continue
+        row = lam[i]
+        total += ei * sum(row[j] * fj for j, fj in enumerate(f) if fj)
+    return total
+
+
 class Torus:
     """Ambient data shared by toric elements: rank, skew form, scalar mode."""
 
@@ -52,16 +63,6 @@ class Torus:
         self.lam = lam
         self.m = len(lam)
         self.mode = mode
-
-    def pairing(self, e, f) -> int:
-        lam = self.lam
-        total = 0
-        for i, ei in enumerate(e):
-            if not ei:
-                continue
-            row = lam[i]
-            total += ei * sum(row[j] * fj for j, fj in enumerate(f) if fj)
-        return total
 
     def zero(self) -> "ToricElement":
         return ToricElement(self, {})
@@ -94,7 +95,7 @@ def monomial_mul(torus: Torus, e, f):
     f = tuple(f)
     if len(e) != torus.m or len(f) != torus.m:
         raise TorusError("exponent length mismatch")
-    tw = torus.pairing(e, f)
+    tw = pairing(torus.lam, e, f)
     return torus.mode.qpow(tw), tuple(a + b for a, b in zip(e, f))
 
 
@@ -146,12 +147,12 @@ class ToricElement:
         if torus.mode.formal:
             return _formal_mul(self, other)
         mode_qpow = torus.mode.qpow
-        pairing = torus.pairing
+        lam = torus.lam
         terms: dict[tuple, object] = {}
         for e, ce in self.terms.items():
             for f, cf in other.terms.items():
                 g = tuple(a + b for a, b in zip(e, f))
-                c = ce * cf * mode_qpow(pairing(e, f))
+                c = ce * cf * mode_qpow(pairing(lam, e, f))
                 s = terms.get(g)
                 terms[g] = c if s is None else s + c
         return ToricElement(torus, terms)
@@ -178,7 +179,7 @@ class ToricElement:
             raise NonLaurentError("only monomials are invertible in the torus")
         e, c = next(iter(self.terms.items()))
         ne = tuple(-x for x in e)
-        tw = self.torus.pairing(e, ne)
+        tw = pairing(self.torus.lam, e, ne)
         if isinstance(c, int):
             c = self.torus.mode.from_int(c)
         cinv = c.inverse() if hasattr(c, "inverse") else None
@@ -322,7 +323,7 @@ def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
             raise NonLaurentError("division failed to reduce")
         prev = ea
         ec = tuple(x - y for x, y in zip(ea, eb))
-        tw = torus.mode.qpow(torus.pairing(ec, eb))
+        tw = torus.mode.qpow(pairing(torus.lam, ec, eb))
         try:
             cc = ca.exact_div(cb * tw)
         except ExactDivisionError as exc:

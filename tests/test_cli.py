@@ -238,6 +238,25 @@ def test_non_prime_in_verify_list_exits_2(capsys, jobs):
     assert "4 is not a prime" in captured.err
 
 
+# a tube id on a quiver without a non-homogeneous tube, or lem5.4 off the
+# Kronecker quiver: before, an IndexError, a vacuous pass or ignored quivers
+UNCOVERED = [("prop6.1", "a2", "a2"), ("prop6.1", "kronecker", "kronecker"),
+             ("lem5.2", "a2", "a2"), ("conj6.4", "a3", "a3"),
+             ("prop6.2", "kronecker", "kronecker"), ("lem5.4", "a2,a3", "a2")]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("statement, quivers, named", UNCOVERED)
+def test_statement_off_its_quivers_exits_2(capsys, jobs, statement, quivers, named):
+    rc = run_cli("--jobs", jobs, "verify", statement, "--quiver", quivers)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: %s is about " % statement)
+    assert captured.err.rstrip().endswith("not quiver %s" % named)
+
+
 def test_basis_non_prime_exits_2_without_traceback():
     proc = subprocess.run([sys.executable, "-m", "qcluster.cli", "basis",
                            "--quiver", "kronecker", "--prime", "4"],

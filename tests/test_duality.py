@@ -40,7 +40,7 @@ def test_fixture_sweep_output_is_pinned(capsys):
             runs += 1
     assert runs == 158
     assert h.hexdigest() == \
-        "52cd82e5b6f97b81d00ad43292d45ea632b4b724b5ff021025dfab80ad0f128c"
+        "5593c7c2f429d848e95e604a035ad77bb5c3d9b0d137846132c4563fc980644e"
 
 
 def test_sink_reflection_undoes_source_reflection():

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never reads,
 no function takes a budget (enumerations tick the active ``modp`` meter), and
 every function and class the package defines is named somewhere else in
-src/, tests/ or bench/."""
+src/, tests/ or bench/, and every call the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 from collections import Counter
@@ -126,3 +128,44 @@ def test_unnamed_definition_is_detected():
 def test_every_definition_is_named_elsewhere():
     defined = {n for m in MODULES for n in definitions(read(m))}
     assert unnamed(defined, tree_sources()) == []
+
+
+def load_tracer():
+    """bench/tracer.py, whose SPANS maps metric -> [(module, attribute path)]."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", os.path.join(ROOT, "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def unresolved(spans):
+    """(module, attribute path) of each traced call the package lacks; the
+    last part must be defined in its owner, as the tracer rebinds it there."""
+    out = []
+    for targets in spans.values():
+        for module, path in targets:
+            owner = importlib.import_module("qcluster." + module)
+            *outer, attr = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part, None)
+            if owner is None or not callable(vars(owner).get(attr)):
+                out.append((module, path))
+    return out
+
+
+def test_unresolved_traced_call_is_detected():
+    spans = {"rep.tau": [("rep", "tau")],
+             "gone": [("rep", "nakayama_kernel"), ("torus", "Torus.gone"),
+                      ("torus", "NoClass.mul")]}
+    assert unresolved(spans) == [("rep", "nakayama_kernel"), ("torus", "Torus.gone"),
+                                 ("torus", "NoClass.mul")]
+
+
+def test_every_traced_call_resolves():
+    tracer = load_tracer()
+    assert "rep.tau" in tracer.SPANS
+    for layer in tracer.LAYERS:
+        importlib.import_module("qcluster." + layer)
+    # Budget.tick gets a counting wrapper outside SPANS
+    assert unresolved({**tracer.SPANS, "budget": [("modp", "Budget.tick")]}) == []

@@ -1,6 +1,7 @@
 import pytest
 
 from qcluster import catalog, modp
+from qcluster.hall import ClassStore, dim_vectors_upto
 from qcluster.quiver import IceQuiver, standard_framing
 from qcluster.rep import (
     ProjectiveSummandError,
@@ -20,7 +21,6 @@ from qcluster.rep import (
     is_indecomposable,
     is_rigid,
     iso_test,
-    min_proj_presentation,
     proj_dim_vector,
     projective,
     quotient_rep,
@@ -157,17 +157,6 @@ def test_projective_injective_shapes():
     assert simple(A2, p, 1) == projective(A2, p, 1)
 
 
-def test_presentation_euler_characteristic():
-    p = 3
-    r = kron_reg(p, 1)
-    rext = extend_to(r, KRON_FRAMED)
-    p1, p0, _h = min_proj_presentation(rext)
-    d0 = p0.dims()
-    d1 = p1.dims()
-    diff = tuple(a - b for a, b in zip(d0, d1))
-    assert diff == rext.dims
-
-
 def test_tau_a2():
     p = 3
     s2 = simple(A2, p, 2)
@@ -210,6 +199,33 @@ def test_coxeter_sends_projectives_to_negative_injectives(name):
         for i in range(1, q.m + 1):
             want = tuple(-d for d in proj_dim_vector(q.op(), i))
             assert coxeter_transform(q, proj_dim_vector(q, i)) == want
+
+
+# (M, N) pairs per quiver and prime; 3,710 in all
+AR_PAIRS = {("a2", 2): 36, ("a2", 3): 36, ("a3", 2): 196, ("a3", 3): 196,
+            ("kronecker", 2): 200, ("kronecker", 3): 276, ("atilde21", 2): 665,
+            ("atilde21", 3): 720, ("atilde12", 2): 665, ("atilde12", 3): 720}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker", "atilde21", "atilde12"])
+def test_auslander_reiten_formula(name, p):
+    # Ext^1(M, N) is dual to Hom(N, tau M) when M has no projective summand,
+    # for every pair of iso classes of total dimension <= 3
+    q = catalog.get(name).principal
+    store = ClassStore(q, p)
+    classes = [M for d in dim_vectors_upto(q.m, bound_total=3)
+               for M in store.iso_classes(d)]
+    pairs = 0
+    for M in classes:
+        try:
+            tau_m = tau(M)
+        except ProjectiveSummandError:
+            continue
+        for N in classes:
+            assert ext_dim(M, N) == hom_dim(N, tau_m), (M, N)
+            pairs += 1
+    assert pairs == AR_PAIRS[name, p]
 
 
 def test_bgp_reflection():

@@ -10,6 +10,7 @@ from qcluster.torus import (
     div_right,
     monomial_mul,
     normal_order,
+    pairing,
 )
 
 # the Kronecker skew form used throughout the golden tests
@@ -65,7 +66,7 @@ def test_commutation_rule(T):
         e = tuple(rng.randint(-3, 3) for _ in range(4))
         f = tuple(rng.randint(-3, 3) for _ in range(4))
         lhs = T.monomial(e) * T.monomial(f)
-        rhs = T.q(2 * T.pairing(e, f)) * (T.monomial(f) * T.monomial(e))
+        rhs = T.q(2 * pairing(T.lam, e, f)) * (T.monomial(f) * T.monomial(e))
         assert lhs == rhs
 
 
