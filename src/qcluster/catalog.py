@@ -26,6 +26,14 @@ PAPER_KRONECKER_LAM = (
 )
 
 
+class CatalogError(KeyError):
+    """A name that the catalog does not hold.  Its str() is the message
+    itself, not the repr that KeyError gives."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 class CatalogEntry:
     def __init__(self, name, principal, delta=None, tubes=None, epsilon=None,
                  nonhomog_count=0, lam=None, elambda=None, bare=False):
@@ -185,7 +193,7 @@ NAMES = tuple(sorted(ENTRIES))
 
 def get(name: str) -> CatalogEntry:
     if name not in ENTRIES:
-        raise KeyError("unknown catalog quiver %r (have %s)" % (name, ", ".join(NAMES)))
+        raise CatalogError("unknown catalog quiver %r (have %s)" % (name, ", ".join(NAMES)))
     return ENTRIES[name]
 
 
@@ -383,4 +391,4 @@ def family_for(name: str, module_name: str) -> RepFamily:
             return RepFamily(q, (2, 2),
                              {0: ((1, 0), (0, 1)), 1: (("L", 1), (0, "L"))},
                              bad_primes=(2,), name="r2")
-    raise KeyError("no bundled family %s/%s" % (name, module_name))
+    raise CatalogError("no bundled family %s/%s" % (name, module_name))

@@ -179,10 +179,7 @@ def emit_reports(reports, as_json: bool) -> int:
 
 
 def cmd_ccmap(args) -> int:
-    name = args.quiver if args.quiver in catalog.ENTRIES else None
-    if name is None:
-        raise InputError("ccmap needs a catalog quiver (have %s)" % ", ".join(catalog.NAMES))
-    model = catalog.get(name).model
+    model = catalog.get(args.quiver).model
     obj, _framed = load_rep(args, args.prime)
     shifts = Counter(args.shift)
     if isinstance(obj, RepFamily):

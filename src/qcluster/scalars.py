@@ -109,6 +109,12 @@ class FormalScalar:
             return next(iter(self.terms.items()))
         return None
 
+    def times_term(self, k: int, c: int) -> "FormalScalar":
+        """The product c*t^k*self, by relabelling the half powers."""
+        out = FormalScalar.__new__(FormalScalar)
+        out.terms = {j + k: c * v for j, v in self.terms.items()}
+        return out
+
     def inverse(self) -> "FormalScalar":
         md = self.monomial_data()
         if md is None or md[1] not in (1, -1):
@@ -170,38 +176,51 @@ class FormalScalar:
         return self.render()
 
 
-def pack(s: FormalScalar, width: int):
-    """The pair (lo, n) with lo the lowest half power of s and
-    n = sum_k c_k * 2^(width*(k - lo)): s evaluated at t = 2^width, shifted to
-    start at t^0 (Kronecker substitution).
+def pack(s: FormalScalar, width: int) -> tuple:
+    """s = c_0(q) + t*c_1(q), q = t^2, packed per parity at q = 2^width.
 
-    Sums and products of packed values are sums and products of the
-    polynomials, so they stay exact; :func:`unpack` reads them back as long
-    as every coefficient has absolute value below 2^(width-1).
+    One part (parity, lo, n) per nonzero c_parity: lo is the lowest power
+    of q in the part and n = sum_j c_(2j+parity) * 2^(width*(j - lo)), the
+    part evaluated at q = 2^width and shifted to start at q^0 (Kronecker
+    substitution).  Sums and products of packed parts are sums and products
+    of the polynomials, so they stay exact; :func:`unpack` reads them back
+    as long as every coefficient has absolute value below 2^(width-1).
     """
+    parts = []
     terms = s.terms
-    lo = min(terms)
-    n = 0
-    for k, c in terms.items():
-        n += c << width * (k - lo)
-    return lo, n
+    while terms:
+        lo = min(terms)
+        parity, base = lo & 1, lo >> 1
+        n = 0
+        rest = {}
+        for k, c in terms.items():
+            if k & 1 == parity:
+                n += c << width * ((k >> 1) - base)
+            else:
+                rest[k] = c
+        parts.append((parity, base, n))
+        terms = rest
+    return tuple(parts)
 
 
-def unpack(lo: int, n: int, width: int) -> FormalScalar:
-    """The scalar whose packing at this width is (lo, n), read as balanced
-    digits in (-2^(width-1), 2^(width-1))."""
+def unpack(*parts_and_width) -> FormalScalar:
+    """The scalar whose parts at a width are the given (parity, lo, n), read
+    as balanced digits in (-2^(width-1), 2^(width-1)): called as
+    ``unpack(*parts, width)``, so that ``unpack(*pack(s, w), w) == s``."""
+    *parts, width = parts_and_width
     terms = {}
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    k = lo
-    while n:
-        d = n & mask
-        if d >= half:
-            d -= mask + 1
-        if d:
-            terms[k] = d
-        n = (n - d) >> width
-        k += 1
+    for parity, lo, n in parts:
+        k = 2 * lo + parity
+        while n:
+            d = n & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                terms[k] = d
+            n = (n - d) >> width
+            k += 2
     out = FormalScalar.__new__(FormalScalar)
     out.terms = terms
     return out

@@ -1,10 +1,18 @@
 """Based quantum torus: Z[q^(1/2),q^(-1/2)]-combinations of lattice monomials
 X^e multiplied through a skew-symmetric integer form, X^e X^f = q^(L(e,f)/2) X^(e+f).
 
-In formal mode the product and right division work on coefficients packed
-as integers at t = 2^W (``scalars.pack``).  The width W keeps every digit
-of every packed value strictly below 2^(W-1) in absolute value, so packed
-sums and products never carry between digits:
+In formal mode the product and right division work on coefficients split
+by parity, c = c_0(q) + t*c_1(q) with t = q^(1/2), each nonzero part
+packed as an integer at q = 2^W (``scalars.pack``).  Two parts
+(p1, lo1, x) and (p2, lo2, y) at X^e and X^f multiply to the part of
+parity (p1 + p2 + L(e,f)) mod 2 at X^(e+f), with lowest q power
+lo1 + lo2 + floor((p1 + p2 + L(e,f))/2) and packed value x*y; products and
+remainders are accumulated per (exponent, parity).  A factor that is a
+single term c*t^k*X^e needs no packing: the product relabels the other
+factor's exponents and half powers.  The width W keeps every digit of
+every packed value strictly below 2^(W-1) in absolute value, so packed
+sums and products never carry between digits; the digits of a part are a
+subset of the coefficient's, so the bounds are those of the coefficients:
 
 - a product a*b uses W = bit_length(l1(a) * linf(b)) + 1, where l1(a) sums
   the absolute values of all integer coefficients of a and linf(b) is the
@@ -267,34 +275,77 @@ def _twist_row(lam, e):
     return row
 
 
+def _single_term(x: ToricElement):
+    """(e, k, c) when x is the single term c*t^k*X^e, else None."""
+    if len(x.terms) != 1:
+        return None
+    (e, s), = x.terms.items()
+    if len(s.terms) != 1:
+        return None
+    (k, c), = s.terms.items()
+    return e, k, c
+
+
+def _relabel(x: ToricElement, e, k: int, c: int, sign: int) -> ToricElement:
+    """c*t^k*X^e times x (sign 1) or x times c*t^k*X^e (sign -1): each term
+    v*X^f moves to X^(e+f) with its half powers shifted by k + sign*L(e, f),
+    since L(f, e) = -L(e, f); nothing is packed."""
+    row = _twist_row(x.torus.lam, e)
+    return ToricElement(x.torus, {
+        tuple(map(add, e, f)): v.times_term(k + sign * sum(map(mul, row, f)), c)
+        for f, v in x.terms.items()})
+
+
+def _decode(acc: dict, width: int) -> dict:
+    """g -> FormalScalar from the nonzero entries (g, parity) -> [lo, n];
+    both parity parts of a g decode into one scalar."""
+    parts: dict[tuple, list] = {}
+    for (g, parity), (lo, n) in acc.items():
+        if n:
+            parts.setdefault(g, []).append((parity, lo, n))
+    return {g: unpack(*ps, width) for g, ps in parts.items()}
+
+
 def _formal_mul(a: ToricElement, b: ToricElement) -> ToricElement:
-    """a*b in formal mode, one big-int product per pair of terms."""
+    """a*b in formal mode: a relabelling when a factor is a single term,
+    else one big-int product per pair of packed parity parts."""
+    one = _single_term(a)
+    if one is not None:
+        return _relabel(b, *one, 1)
+    one = _single_term(b)
+    if one is not None:
+        return _relabel(a, *one, -1)
     torus = a.torus
     width = (sum(map(_l1, a.terms.values())) * _linf(b)).bit_length() + 1
-    packed_b = [(f,) + pack(c, width) for f, c in b.terms.items()]
-    acc: dict[tuple, list] = {}      # g -> [lowest half power, packed value]
+    packed_b = [(f, pack(c, width)) for f, c in b.terms.items()]
+    acc: dict[tuple, list] = {}      # (g, parity) -> [lowest q power, packed value]
     for e, ce in a.terms.items():
-        lo_e, x = pack(ce, width)
+        parts_e = pack(ce, width)
         row = _twist_row(torus.lam, e)
-        for f, lo_f, y in packed_b:
-            lo = lo_e + lo_f + sum(map(mul, row, f))
+        for f, parts_f in packed_b:
+            tw = sum(map(mul, row, f))
             g = tuple(map(add, e, f))
-            cur = acc.get(g)
-            if cur is None:
-                acc[g] = [lo, x * y]
-            elif lo >= cur[0]:
-                cur[1] += x * y << width * (lo - cur[0])
-            else:
-                cur[1] = (cur[1] << width * (cur[0] - lo)) + x * y
-                cur[0] = lo
-    return ToricElement(torus, {g: unpack(lo, n, width)
-                                for g, (lo, n) in acc.items() if n})
+            for pe, lo_e, x in parts_e:
+                for pf, lo_f, y in parts_f:
+                    h = pe + pf + tw
+                    key = g, h & 1
+                    lo = lo_e + lo_f + (h >> 1)
+                    cur = acc.get(key)
+                    if cur is None:
+                        acc[key] = [lo, x * y]
+                    elif lo >= cur[0]:
+                        cur[1] += x * y << width * (lo - cur[0])
+                    else:
+                        cur[1] = (cur[1] << width * (cur[0] - lo)) + x * y
+                        cur[0] = lo
+    return ToricElement(torus, _decode(acc, width))
 
 
 def _repack(rem: dict, width: int, new_width: int) -> None:
     """Re-encode every packed remainder entry at a larger width, in place."""
-    for cur in rem.values():
-        cur[:] = pack(unpack(cur[0], cur[1], width), new_width)
+    for (_g, parity), cur in rem.items():
+        (_p, lo, n), = pack(unpack((parity, cur[0], cur[1]), width), new_width)
+        cur[:] = lo, n
 
 
 def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
@@ -335,15 +386,17 @@ def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
 
 
 def _formal_div_right(a: ToricElement, b: ToricElement) -> ToricElement:
-    """div_right in formal mode on a packed remainder: each step decodes the
-    leading coefficient and updates the |b| entries it touches in place."""
+    """div_right in formal mode on a packed remainder keyed by (g, parity):
+    each step decodes the leading coefficient and updates the entries of the
+    |b| exponents it touches in place."""
     torus = a.torus
     eb, cb = b.leading()
     linf_a, linf_b = _linf(a), _linf(b)
     quot_l1 = 0
     width = linf_a.bit_length() + 1
-    rem = {e: list(pack(c, width)) for e, c in a.terms.items()}
-    packed_b = [(f,) + pack(c, width) for f, c in b.terms.items()]
+    rem = {(e, parity): [lo, n] for e, c in a.terms.items()
+           for parity, lo, n in pack(c, width)}
+    packed_b = [(f, pack(c, width)) for f, c in b.terms.items()]
     quot_terms: dict[tuple, object] = {}
     steps = 0
     prev = None
@@ -351,11 +404,12 @@ def _formal_div_right(a: ToricElement, b: ToricElement) -> ToricElement:
         steps += 1
         if steps > MAX_DIV_STEPS:
             raise NonLaurentError("division did not terminate")
-        ea = max(rem)
+        ea = max(rem)[0]
         if prev is not None and ea >= prev:
             raise NonLaurentError("division failed to reduce")
         prev = ea
-        ca = unpack(rem[ea][0], rem[ea][1], width)
+        ca = unpack(*[(parity, *rem[ea, parity]) for parity in (0, 1)
+                      if (ea, parity) in rem], width)
         ec = tuple(x - y for x, y in zip(ea, eb))
         row = _twist_row(torus.lam, ec)
         try:
@@ -369,22 +423,27 @@ def _formal_div_right(a: ToricElement, b: ToricElement) -> ToricElement:
             new_width = max(bound.bit_length() + 1, 2 * width)
             _repack(rem, width, new_width)
             width = new_width
-            packed_b = [(f,) + pack(c, width) for f, c in b.terms.items()]
-        lo_c, z = pack(cc, width)
-        for f, lo_f, y in packed_b:
-            lo = lo_c + lo_f + sum(map(mul, row, f))
+            packed_b = [(f, pack(c, width)) for f, c in b.terms.items()]
+        parts_c = pack(cc, width)
+        for f, parts_f in packed_b:
+            tw = sum(map(mul, row, f))
             g = tuple(map(add, ec, f))
-            cur = rem.get(g)
-            if cur is None:
-                rem[g] = [lo, -(z * y)]
-                continue
-            if lo >= cur[0]:
-                n = cur[1] - (z * y << width * (lo - cur[0]))
-            else:
-                n = (cur[1] << width * (cur[0] - lo)) - z * y
-                cur[0] = lo
-            if n:
-                cur[1] = n
-            else:
-                del rem[g]
+            for pc, lo_c, z in parts_c:
+                for pf, lo_f, y in parts_f:
+                    h = pc + pf + tw
+                    key = g, h & 1
+                    lo = lo_c + lo_f + (h >> 1)
+                    cur = rem.get(key)
+                    if cur is None:
+                        rem[key] = [lo, -(z * y)]
+                        continue
+                    if lo >= cur[0]:
+                        n = cur[1] - (z * y << width * (lo - cur[0]))
+                    else:
+                        n = (cur[1] << width * (cur[0] - lo)) - z * y
+                        cur[0] = lo
+                    if n:
+                        cur[1] = n
+                    else:
+                        del rem[key]
     return ToricElement(torus, quot_terms)

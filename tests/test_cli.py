@@ -397,3 +397,29 @@ def test_ungraded_quiver_is_reported_as_skip(capsys, argv):
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert len(lines) == 1 and lines[0].endswith("skip (not graded)")
+
+
+UNKNOWN_QUIVER = "error: unknown catalog quiver 'nosuch' (have %s)" % ", ".join(catalog.NAMES)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm3.3", "--quiver", "nosuch"),
+    ("verify", "thm3.3", "--quiver", "nosuch", "--prime", "3,5"),
+    ("basis", "--quiver", "nosuch"),
+    ("mutate", "--quiver", "nosuch"),
+    ("ccmap", "--quiver", "nosuch", "--rep", "s1.rep"),
+])
+def test_unknown_quiver_message_is_plain(capsys, jobs, argv):
+    rc = run_cli("--jobs", jobs, *argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [UNKNOWN_QUIVER]
+
+
+def test_catalog_error_str_is_the_message():
+    with pytest.raises(KeyError) as info:
+        catalog.family_for("kronecker", "nosuch")
+    assert isinstance(info.value, catalog.CatalogError)
+    assert str(info.value) == "no bundled family kronecker/nosuch"

@@ -131,3 +131,73 @@ def test_specialize_commutes_with_product(p, data):
         return ToricElement(Ts, {e: specialize(c, p) for e, c in z.terms.items()})
 
     assert spec(x * y) == spec(x) * spec(y)
+
+
+def test_both_parities_meet_and_partly_cancel():
+    """x*y at g = X^(0,0,1,1) sums two products, (t^4 + 2t^5)(1 - t)t^(-2)
+    and (-1 + t + t^2)t^2: t^2 cancels, t^4 partly cancels and t^3 doubles,
+    so both parity parts of g are accumulated from two contributions."""
+    T = TORI["kronecker"]
+    e1, e2 = (0, 0, 1, 0), (0, 0, 0, 1)
+    x = ToricElement(T, {e1: FormalScalar({4: 1, 5: 2}), e2: FormalScalar({0: -1, 1: 1, 2: 1})})
+    y = ToricElement(T, {e2: FormalScalar({0: 1, 1: -1}), e1: FormalScalar({0: 1})})
+    g = (0, 0, 1, 1)
+    c1 = x.terms[e1] * y.terms[e2] * monomial_mul(T, e1, e2)[0]
+    c2 = x.terms[e2] * y.terms[e1] * monomial_mul(T, e2, e1)[0]
+    assert c1 == FormalScalar({2: 1, 3: 1, 4: -2})
+    assert c2 == FormalScalar({2: -1, 3: 1, 4: 1})
+    product = x * y
+    assert product.terms == reference_mul(x, y)
+    assert product.terms[g] == FormalScalar({3: 2, 4: -1})
+    assert div_right(product, y) == x
+
+
+def _count_calls(monkeypatch):
+    """A list that records each call of the packing codec made through the
+    torus module."""
+    calls = []
+    for name in ("pack", "unpack"):
+        fn = getattr(torus_mod, name)
+
+        def spy(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(torus_mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), h=st.integers(-9, 9))
+def test_single_term_factor_is_relabelled(name, data, h):
+    T = TORI[name]
+    x = data.draw(elements(T))
+    e = data.draw(st.tuples(*[st.integers(-2, 2)] * T.m))
+    c = data.draw(st.integers(-5, 5).filter(bool))
+    term = T.monomial(e, FormalScalar({h: c}))
+    with pytest.MonkeyPatch.context() as m:
+        calls = _count_calls(m)
+        products = [(T.q(h), x, T.q(h) * x), (x, T.q(h), x * T.q(h)),
+                    (T.one(), x, T.one() * x), (term, x, term * x), (x, term, x * term)]
+    assert calls == []
+    for left, right, product in products:
+        assert product.terms == reference_mul(left, right)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@given(lo=st.integers(-20, 20), digits=st.lists(st.integers(-BIG, BIG), min_size=1, max_size=30),
+       extra=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_parity_uniform_coefficient_packs_in_q(parity, lo, digits, extra):
+    """A coefficient of one parity spanning 2D half powers packs as one part
+    of at most D + 1 digits at q = 2^W."""
+    s = FormalScalar({2 * (lo + j) + parity: c for j, c in enumerate(digits)})
+    if not s:
+        return
+    span = max(s.terms) - min(s.terms)
+    width = max(map(abs, digits)).bit_length() + 1 + extra
+    (part_parity, part_lo, n), = pack(s, width)
+    assert part_parity == parity and 2 * part_lo + parity == min(s.terms)
+    assert abs(n).bit_length() <= width * (span // 2 + 1)
+    assert unpack((part_parity, part_lo, n), width) == s
