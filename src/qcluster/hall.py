@@ -86,8 +86,7 @@ class ClassStore:
         self._aut: dict[tuple, int] = {}
         self._hom: dict[tuple, int] = {}
         self._ext: dict[tuple, int] = {}
-        self._filt: dict[tuple, int] = {}
-        self._subcache: dict[tuple, list] = {}
+        self._filt: dict[tuple, dict] = {}
 
     # -- iso classes ------------------------------------------------------
 
@@ -196,7 +195,8 @@ class ClassStore:
         if M.quiver != self.quiver or M.p != self.p:
             raise R.RepError("classify needs a representation over this "
                              "store's quiver and prime")
-        self.iso_classes(M.dims)
+        if M.dims not in self._labels:
+            self.iso_classes(M.dims)
         index = 0
         for idx in range(len(self.quiver.arrows)):
             for row in M.mats[idx]:
@@ -237,29 +237,39 @@ class ClassStore:
             self._ext[key] = R.ext_dim(M, N)
         return self._ext[key]
 
-    def submods(self, M, e):
-        key = (M.key(), tuple(e))
-        if key not in self._subcache:
-            self._subcache[key] = R.submodules(M, e)
-        return self._subcache[key]
+    def filtration_table(self, M, e) -> dict:
+        """{(quotient class, submodule class): count} over the submodules of
+        M with dimension vector e, from one walk of submodules(M, e).
+
+        Each submodule and its quotient are labelled by classify.  The first
+        submodule to land in a cell is iso_test-checked against both class
+        representatives, an independent check on the labels."""
+        e = tuple(e)
+        key = (M.key(), e)
+        if key in self._filt:
+            return self._filt[key]
+        table: dict = {}
+        for bases in R.submodules(M, e):
+            sub = R.sub_rep(M, bases)
+            quot = R.quotient_rep(M, bases)
+            cell = (self.classify(quot), self.classify(sub))
+            if cell not in table:
+                if not (R.iso_test(sub, self.iso_classes(sub.dims)[cell[1]])
+                        and R.iso_test(quot, self.iso_classes(quot.dims)[cell[0]])):
+                    raise R.RepError(
+                        "filtration table of dims %s at e=%s: a submodule or "
+                        "quotient is not isomorphic to its class representative"
+                        % (list(M.dims), list(e)))
+            table[cell] = table.get(cell, 0) + 1
+        self._filt[key] = table
+        return table
 
     def filtration_count(self, M, A, B) -> int:
         """F^M_{A,B}: submodules of M isomorphic to B with quotient A."""
         if tuple(a + b for a, b in zip(A.dims, B.dims)) != M.dims:
             return 0
-        key = (M.key(), A.key(), B.key())
-        if key in self._filt:
-            return self._filt[key]
-        count = 0
-        for bases in self.submods(M, B.dims):
-            sub = R.sub_rep(M, bases)
-            if not R.iso_test(sub, B):
-                continue
-            quot = R.quotient_rep(M, bases)
-            if R.iso_test(quot, A):
-                count += 1
-        self._filt[key] = count
-        return count
+        table = self.filtration_table(M, B.dims)
+        return table.get((self.classify(A), self.classify(B)), 0)
 
     def ext_count(self, E, M, N) -> int:
         """eps^E_{M,N} via the Riedtmann-Peng identity (exact division)."""

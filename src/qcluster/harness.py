@@ -70,8 +70,14 @@ def verify_hall(name: str, M, N, p: int) -> VerifyReport:
     model = entry.model
     store = catalog.store_for(name, p)
     torus = model.torus(SpecializedMode(p))
-    xm = cc_map(ClusterObject(M), model, p)
-    xn = cc_map(ClusterObject(N), model, p)
+    memo = store.derived.setdefault("cc_map", {})
+
+    def x_of(X):
+        if X.key() not in memo:
+            memo[X.key()] = cc_map(ClusterObject(X), model, p)
+        return memo[X.key()]
+
+    xm, xn = x_of(M), x_of(N)
     ext1 = store.ext(M, N)
     lhs = torus.q(2 * ext1) * (xn * xm)
     ir_m = model.exch.ir_vec(M.dims)
@@ -81,7 +87,7 @@ def verify_hall(name: str, M, N, p: int) -> VerifyReport:
     for E in store.middle_terms(M, N):
         eps = store.ext_count(E, M, N)
         if eps:
-            rhs = rhs + cc_map(ClusterObject(E), model, p) * eps
+            rhs = rhs + x_of(E) * eps
     rhs = torus.q(tw) * rhs
     inputs = "%s p=%d M=%s N=%s" % (name, p, list(M.dims), list(N.dims))
     return _cmp_report("thm3.3", inputs, lhs, rhs)
@@ -491,12 +497,13 @@ def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyRepo
     reports = []
     count_ok = True
     detail = ""
+    g1, glam, g2 = (R.all_grassmannian_counts(X) for X in (e1s, elam, e2low))
     for e in product(*[range(d + 1) for d in e1s.dims]):
-        lhs = R.grassmannian_count(e1s, e)
-        rhs = R.grassmannian_count(elam, e)
+        lhs = g1.get(e, 0)
+        rhs = glam.get(e, 0)
         e2 = tuple(x - y for x, y in zip(e, shift))
         if all(x >= 0 for x in e2):
-            rhs += R.grassmannian_count(e2low, e2)
+            rhs += g2.get(e2, 0)
         if lhs != rhs:
             count_ok = False
             detail = "count mismatch at e=%s: %d vs %d" % (e, lhs, rhs)

@@ -199,6 +199,17 @@ def span_contains(span_rref, v, p, ncols):
     return not any(v)
 
 
+def gaussian_binomial(d, k, p):
+    """[d, k]_p, the number of k-dimensional subspaces of F_p^d."""
+    if k < 0 or k > d:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
 def subspaces(d, k, p):
     """All k-dimensional subspaces of F_p^d as canonical RREF row tuples."""
     if k < 0 or k > d:
@@ -232,6 +243,9 @@ def subspaces_containing(w_rows, d, k, p):
         return
     if k == w:
         yield w_rref
+        return
+    if w == 0:
+        yield from subspaces(d, k, p)   # already canonical
         return
     complement = [c for c in range(d) if c not in w_pivots]
     dq = len(complement)

@@ -258,15 +258,7 @@ def submodules(M: QuiverRep, e):
             results.append(tuple(chosen[v] for v in range(1, q.m + 1)))
             return
         v = order[pos]
-        span_rows = []
-        for idx, (s, t) in q.arrows_into(v):
-            ubasis = chosen[s]
-            if not ubasis:
-                continue
-            A = M.mats[idx]
-            for row in ubasis:
-                span_rows.append(modp.mat_vec(A, row, M.p))
-        w = modp.row_span(span_rows, M.p, M.dims[v - 1])
+        w = _image_span(M, v, chosen)
         if len(w) > e[v - 1]:
             return
         for cand in modp.subspaces_containing(w, M.dims[v - 1], e[v - 1], M.p):
@@ -278,18 +270,71 @@ def submodules(M: QuiverRep, e):
     return results
 
 
-def grassmannian_count(M, e) -> int:
-    return len(submodules(M, e))
+def _image_span(M: QuiverRep, v: int, chosen) -> tuple:
+    """RREF basis of the span at v of the images of the subspaces chosen at
+    the tails of the arrows into v."""
+    rows = [modp.mat_vec(M.mats[idx], row, M.p)
+            for idx, (s, _t) in M.quiver.arrows_into(v) for row in chosen[s]]
+    return modp.row_span(rows, M.p, M.dims[v - 1])
 
 
-def all_grassmannian_counts(M):
-    counts = {}
-    ranges = [range(d + 1) for d in M.dims]
-    for e in product(*ranges):
-        c = grassmannian_count(M, e)
-        if c:
-            counts[tuple(e)] = c
-    return counts
+def all_grassmannian_counts(M: QuiverRep) -> dict:
+    """{e: |Gr_e(M)|} over every e with a nonzero count, from one walk.
+
+    The walk fills the non-sink vertices in topological order, as submodules
+    does for one e, but tries every dimension at each of them.  A sink
+    constrains nothing after it: once the rest is fixed, its k-dimensional
+    choices are the subspaces containing the image span, [d - w, k - w]_p of
+    them for an image span of rank w.  Leaves with the same dimensions and
+    sink ranks are merged before the sink binomials are multiplied out.
+    """
+    q = M.quiver
+    p = M.p
+    inner = [v for v in q.topo if not q.is_sink(v)]
+    sinks = [v for v in q.topo if q.is_sink(v)]
+    leaves: dict = {}   # (dims at inner, image ranks at sinks) -> leaf count
+    chosen = {}
+
+    def walk(pos):
+        if pos == len(inner):
+            key = (tuple(len(chosen[v]) for v in inner),
+                   tuple(len(_image_span(M, v, chosen)) for v in sinks))
+            leaves[key] = leaves.get(key, 0) + 1
+            return
+        v = inner[pos]
+        d = M.dims[v - 1]
+        w = _image_span(M, v, chosen)
+        for k in range(len(w), d + 1):
+            for cand in modp.subspaces_containing(w, d, k, p):
+                chosen[v] = cand
+                walk(pos + 1)
+        del chosen[v]
+
+    walk(0)
+    counts: dict = {}
+    for (inner_dims, ranks), leaf_count in leaves.items():
+        per_sink = [[(k, modp.gaussian_binomial(M.dims[v - 1] - w, k - w, p))
+                     for k in range(w, M.dims[v - 1] + 1)]
+                    for v, w in zip(sinks, ranks)]
+        for choice in product(*per_sink):
+            e = [0] * q.m
+            for v, k in zip(inner, inner_dims):
+                e[v - 1] = k
+            count = leaf_count
+            for v, (k, ways) in zip(sinks, choice):
+                e[v - 1] = k
+                count *= ways
+            e = tuple(e)
+            counts[e] = counts.get(e, 0) + count
+    return dict(sorted(counts.items()))
+
+
+def grassmannian_count(M: QuiverRep, e) -> int:
+    """|Gr_e(M)|, read off the one-walk table of all_grassmannian_counts."""
+    e = tuple(int(x) for x in e)
+    if len(e) != M.quiver.m:
+        raise RepError("dimension vector has wrong length")
+    return all_grassmannian_counts(M).get(e, 0)
 
 
 def sub_rep(M: QuiverRep, bases) -> QuiverRep:

@@ -1,5 +1,6 @@
 """The cached standard-monomial layer: pinned verify output (every verify id
-at its defaults), equality with the direct ordered product, and the
+at its defaults, and the all-pairs Hall and Green sweeps under one and two
+jobs), equality with the direct ordered product, and the
 closed-form leader that the expansion inverts."""
 
 import hashlib
@@ -30,6 +31,18 @@ from qcluster.seeds import standard_monomial
 ])
 def test_verify_json_output_is_pinned(capsys, statement, digest):
     rc = cli.main(["--jobs", "1", "verify", statement, "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("statement, digest", [
+    ("thm3.3", "e8a7e19698d52a77bc8ae5efc7feb96aad3e46b7db2827bd8beea9b4756ac071"),
+    ("green", "92b3e4e2cfa70a03287341166a316eec5d414c3c2d1413d40d7b786730950f92"),
+])
+def test_all_pairs_json_output_is_pinned(capsys, statement, digest, jobs):
+    rc = cli.main(["--jobs", jobs, "verify", statement, "--all-pairs", "--json"])
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
