@@ -30,8 +30,11 @@ class InputError(ValueError):
 
 
 def read_text(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError("cannot read %r: %s" % (path, exc.strerror or exc)) from exc
 
 
 def resolve_quiver(spec: str):

@@ -2,14 +2,15 @@
 
 Two coefficient rings are supported: Laurent polynomials in the half power
 t (with t*t = q) over the integers, and the specialization t -> sqrt(p) for
-a prime p, whose elements are kept in the normal form a + b*sqrt(p) with
-rational a, b.
+a prime p, whose elements are kept on plain integers in the normal form
+(A + B*sqrt(p))/D with D > 0 and gcd(A, B, D) = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .modp import is_prime
 
@@ -244,52 +245,75 @@ def _power_str(k: int):
 
 
 class SpecScalar:
-    """An element a + b*sqrt(p) of Z[p^(1/2), p^(-1/2)] tensored up to Q.
+    """An element (A + B*sqrt(p))/D of Z[p^(1/2), p^(-1/2)] tensored up to Q.
 
-    The representation is unique because sqrt(p) is irrational.  Membership
-    in the half-integer ring itself (denominators a power of p) is checked
-    by :meth:`is_p_integral` rather than enforced, since intermediate basis
-    computations may pass through general rationals.
+    A, B and D are plain integers with D > 0 and gcd(A, B, D) = 1, so each
+    value has exactly one form (sqrt(p) is irrational), and equality is
+    equality of the triples.  Membership in the half-integer ring itself (D
+    a power of p) is checked by :meth:`is_p_integral` rather than enforced,
+    since intermediate basis computations may pass through general
+    rationals.  The rational parts a = A/D and b = B/D are read-only
+    properties, returned as Fractions.
     """
 
-    __slots__ = ("p", "a", "b")
+    __slots__ = ("p", "A", "B", "D")
 
     def __init__(self, p: int, a, b):
-        self.p = p
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            A, B, D = a, b, 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            # D is the lcm of two reduced denominators, so gcd(A, B, D) = 1
+            D = lcm(a.denominator, b.denominator)
+            A = a.numerator * (D // a.denominator)
+            B = b.numerator * (D // b.denominator)
+        self.p, self.A, self.B, self.D = p, A, B, D
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.A or self.B)
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return SpecScalar(self.p, other, 0)
         if isinstance(other, SpecScalar):
             if other.p != self.p:
                 raise ModeError("mixed primes %d and %d" % (self.p, other.p))
             return other
+        if isinstance(other, int):
+            return _spec(self.p, other, 0, 1)
         return None
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A == o.A and self.B == o.B and self.D == o.D
 
     def __hash__(self):
-        return hash((self.p, self.a, self.b))
+        # a value equal to an int hashes like that int
+        if self.B == 0 and self.D == 1:
+            return hash(self.A)
+        return hash((self.p, self.A, self.B, self.D))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SpecScalar(self.p, self.a + o.a, self.b + o.b)
+        D, Do = self.D, o.D
+        if D == Do:
+            return _reduced(self.p, self.A + o.A, self.B + o.B, D)
+        return _reduced(self.p, self.A * Do + o.A * D, self.B * Do + o.B * D, D * Do)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SpecScalar(self.p, -self.a, -self.b)
+        return _spec(self.p, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -304,26 +328,28 @@ class SpecScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SpecScalar(
-            self.p,
-            self.a * o.a + self.b * o.b * self.p,
-            self.a * o.b + self.b * o.a,
-        )
+        A1, B1, A2, B2 = self.A, self.B, o.A, o.B
+        return _reduced(self.p, A1 * A2 + self.p * B1 * B2, A1 * B2 + A2 * B1,
+                        self.D * o.D)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = SpecScalar(self.p, 1, 0)
+        out = _spec(self.p, 1, 0, 1)
         base = self if n >= 0 else self.inverse()
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def inverse(self) -> "SpecScalar":
-        norm = self.a * self.a - self.p * self.b * self.b
+        """D/(A + B*sqrt(p)) = D*(A - B*sqrt(p))/N with N = A^2 - p*B^2."""
+        A, B, D = self.A, self.B, self.D
+        norm = A * A - self.p * B * B
         if norm == 0:
             raise ExactDivisionError("inverse of zero")
-        return SpecScalar(self.p, self.a / norm, -self.b / norm)
+        if norm < 0:
+            return _reduced(self.p, -D * A, D * B, -norm)
+        return _reduced(self.p, D * A, -D * B, norm)
 
     def exact_div(self, other) -> "SpecScalar":
         o = self._coerce(other)
@@ -334,60 +360,79 @@ class SpecScalar:
 
     def monomial_data(self):
         """Return (k, sign) if this equals sign * p^(k/2), else None."""
-        for part, off in ((self.a, 0), (self.b, 1)):
-            if part == 0:
-                continue
-            if (self.b if off == 0 else self.a) != 0:
-                return None
-            num, den = part.numerator, part.denominator
-            sign = 1 if num > 0 else -1
-            num = abs(num)
-            k = 0
-            if den > 1:
-                while den % self.p == 0 and den > 1:
-                    den //= self.p
-                    k -= 2
-                if den != 1 or num != 1:
-                    return None
-            else:
-                while num % self.p == 0:
-                    num //= self.p
-                    k += 2
-                if num != 1:
-                    return None
-            return (k + off, sign)
-        return None
+        if self.A and self.B:
+            return None
+        part, off = (self.A, 0) if self.A else (self.B, 1)
+        if not part:
+            return None
+        # gcd(part, D) = 1, so |part| or D is 1 and the other must be p^k
+        if self.D == 1:
+            mag, up = abs(part), 1
+        elif abs(part) == 1:
+            mag, up = self.D, -1
+        else:
+            return None
+        k = _p_valuation(mag, self.p)
+        if mag != self.p**k:
+            return None
+        return (2 * up * k + off, 1 if part > 0 else -1)
 
     def is_q_monomial(self):
         return self.monomial_data() is not None
 
     def is_p_integral(self):
-        """Denominators of both parts are powers of p."""
-        for part in (self.a, self.b):
-            den = part.denominator
-            while den % self.p == 0:
-                den //= self.p
-            if den != 1:
-                return False
-        return True
+        """D, the common denominator of both parts, is a power of p."""
+        return self.D == self.p**_p_valuation(self.D, self.p)
 
     def render(self) -> str:
         if not self:
             return "0"
         parts = []
-        if self.a:
-            parts.append(str(self.a))
-        if self.b:
-            mag = abs(self.b)
-            body = "sqrt(%d)" % self.p if mag == 1 else "%s*sqrt(%d)" % (mag, self.p)
+        if self.A:
+            parts.append(_ratio_str(self.A, self.D))
+        if self.B:
+            mag = _ratio_str(abs(self.B), self.D)
+            body = "sqrt(%d)" % self.p if mag == "1" else "%s*sqrt(%d)" % (mag, self.p)
             if not parts:
-                parts.append(body if self.b > 0 else "-" + body)
+                parts.append(body if self.B > 0 else "-" + body)
             else:
-                parts.append(("+ " if self.b > 0 else "- ") + body)
+                parts.append(("+ " if self.B > 0 else "- ") + body)
         return " ".join(parts)
 
     def __repr__(self):
         return self.render()
+
+
+def _spec(p: int, A: int, B: int, D: int) -> SpecScalar:
+    """The scalar (A + B*sqrt(p))/D from a form already reduced."""
+    s = object.__new__(SpecScalar)
+    s.p, s.A, s.B, s.D = p, A, B, D
+    return s
+
+
+def _reduced(p: int, A: int, B: int, D: int) -> SpecScalar:
+    """The scalar (A + B*sqrt(p))/D for D > 0, divided through by gcd(A, B, D)."""
+    if D != 1:
+        g = gcd(A, B, D)
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
+    return _spec(p, A, B, D)
+
+
+def _p_valuation(n: int, p: int) -> int:
+    """The exponent of p in the nonzero integer n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms as str(Fraction(n, d)) prints it, for d > 0."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def qpow(k: int) -> FormalScalar:
@@ -396,15 +441,19 @@ def qpow(k: int) -> FormalScalar:
 
 
 def specialize(s: FormalScalar, p: int) -> SpecScalar:
-    """Ring homomorphism sending t to sqrt(p)."""
-    a = Fraction(0)
-    b = Fraction(0)
-    for k, c in s.terms.items():
-        if k % 2 == 0:
-            a += c * Fraction(p) ** (k // 2)
+    """Ring homomorphism sending t to sqrt(p).
+
+    t^k = p^(k//2) * sqrt(p)^(k%2), so with lo the least k//2 (at most 0)
+    every term is an integer over the common denominator p^(-lo)."""
+    terms = s.terms
+    lo = min(min(terms, default=0) >> 1, 0)
+    A = B = 0
+    for k, c in terms.items():
+        if k & 1:
+            B += c * p ** ((k >> 1) - lo)
         else:
-            b += c * Fraction(p) ** ((k - 1) // 2)
-    return SpecScalar(p, a, b)
+            A += c * p ** ((k >> 1) - lo)
+    return _reduced(p, A, B, p**-lo)
 
 
 def qbinom(n: int, k: int, d: int = 1) -> FormalScalar:
@@ -478,13 +527,13 @@ class SpecializedMode:
         return _spec_qpow(self.p, k)
 
     def from_int(self, n: int):
-        return SpecScalar(self.p, n, 0)
+        return _spec(self.p, n, 0, 1)
 
     def one(self):
-        return SpecScalar(self.p, 1, 0)
+        return _spec(self.p, 1, 0, 1)
 
     def zero(self):
-        return SpecScalar(self.p, 0, 0)
+        return _spec(self.p, 0, 0, 1)
 
     def __eq__(self, other):
         return isinstance(other, SpecializedMode) and other.p == self.p

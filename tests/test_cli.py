@@ -153,6 +153,14 @@ def test_malformed_rep_file_exits_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, extra", [("grass", ["--e", "1,0"]), ("ccmap", [])])
+def test_rep_naming_a_directory_exits_2(capsys, command, extra):
+    rc = run_cli(command, "--quiver", "a2", "--rep", os.path.join(FIX, "a2"), *extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot read")
+
+
 def test_rep_files_are_closed():
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
                            "-m", "qcluster.cli", "ccmap", "--quiver", "kronecker",

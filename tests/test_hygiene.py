@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never reads,
 no function takes a budget (enumerations tick the active ``modp`` meter), and
 every function and class the package defines is named somewhere else in
-src/, tests/ or bench/, and every call the benchmark's tracer wraps exists."""
+src/, tests/ or bench/, every call the benchmark's tracer wraps exists, and
+the specialized torus path imports nothing from fractions."""
 
 import ast
 import importlib
@@ -85,6 +86,25 @@ def test_no_function_takes_a_budget(module):
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "modp.py"])
 def test_default_budget_is_named_only_in_modp(module):
     assert default_budget_lines(read(module)) == []
+
+
+def fractions_imports(source: str):
+    """Lines that import the fractions module or a name from it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                  or isinstance(node, ast.Import)
+                  and any(alias.name == "fractions" for alias in node.names))
+
+
+def test_fractions_import_is_detected():
+    src = "import os, fractions\nfrom fractions import Fraction\nfrom .scalars import qpow\n"
+    assert fractions_imports(src) == [1, 2]
+
+
+# the specialized torus path works on SpecScalar's integer forms only
+@pytest.mark.parametrize("module", ["torus.py", "ccmap.py", "seeds.py"])
+def test_hot_path_imports_nothing_from_fractions(module):
+    assert fractions_imports(read(module)) == []
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

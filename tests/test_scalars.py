@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +134,136 @@ def test_monomial_recognition():
 def test_specialized_mode_refuses_non_prime(p):
     with pytest.raises(ValueError, match="not a prime"):
         SpecializedMode(p)
+
+
+# Reference for SpecScalar: a + b*sqrt(p) held as two Fractions, with the
+# arithmetic the class had before it moved to integer forms (A + B*sqrt(p))/D.
+
+def ref_mul(p, x, y):
+    return (x[0] * y[0] + x[1] * y[1] * p, x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(p, x):
+    norm = x[0] * x[0] - p * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def ref_monomial_data(p, x):
+    for part, off in ((x[0], 0), (x[1], 1)):
+        if part == 0:
+            continue
+        if x[1 - off] != 0:
+            return None
+        num, den = abs(part.numerator), part.denominator
+        k = 0
+        if den > 1:
+            while den % p == 0 and den > 1:
+                den //= p
+                k -= 2
+            if den != 1 or num != 1:
+                return None
+        else:
+            while num % p == 0:
+                num //= p
+                k += 2
+            if num != 1:
+                return None
+        return (k + off, 1 if part > 0 else -1)
+    return None
+
+
+def ref_is_p_integral(p, x):
+    for part in x:
+        den = part.denominator
+        while den % p == 0:
+            den //= p
+        if den != 1:
+            return False
+    return True
+
+
+def ref_render(p, x):
+    a, b = x
+    if not a and not b:
+        return "0"
+    parts = [str(a)] if a else []
+    if b:
+        mag = abs(b)
+        body = "sqrt(%d)" % p if mag == 1 else "%s*sqrt(%d)" % (mag, p)
+        if not parts:
+            parts.append(body if b > 0 else "-" + body)
+        else:
+            parts.append(("+ " if b > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def rationals(p):
+    """General rationals, and signed powers of p (where monomials live)."""
+    return st.one_of(
+        st.fractions(min_value=-200, max_value=200, max_denominator=60),
+        st.builds(lambda s, k: s * Fraction(p) ** k,
+                  st.sampled_from([-1, 0, 1]), st.integers(-4, 4)))
+
+
+@st.composite
+def spec_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    pair = st.tuples(rationals(p), rationals(p))
+    return p, draw(pair), draw(pair), draw(st.integers(-9, 9)), draw(st.integers(-3, 3))
+
+
+def assert_matches(s, p, x):
+    assert (s.p, s.a, s.b) == (p, x[0], x[1])
+    assert type(s.A) is type(s.B) is type(s.D) is int
+    assert s.D > 0 and gcd(s.A, s.B, s.D) == 1
+
+
+@given(spec_cases())
+@settings(max_examples=400, deadline=None)
+def test_spec_scalar_matches_fraction_reference(case):
+    p, x, y, m, n = case
+    X, Y = SpecScalar(p, *x), SpecScalar(p, *y)
+    mm = (Fraction(m), Fraction(0))
+    assert_matches(X, p, x)
+    assert_matches(X + Y, p, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(X - Y, p, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(-X, p, (-x[0], -x[1]))
+    assert_matches(X * Y, p, ref_mul(p, x, y))
+    assert_matches(X + m, p, (x[0] + m, x[1]))
+    assert_matches(m + X, p, (x[0] + m, x[1]))
+    assert_matches(m - X, p, (m - x[0], -x[1]))
+    assert_matches(X * m, p, ref_mul(p, x, mm))
+    assert_matches(m * X, p, ref_mul(p, x, mm))
+    if any(y):
+        assert_matches(Y.inverse(), p, ref_inverse(p, y))
+        assert_matches(X.exact_div(Y), p, ref_mul(p, x, ref_inverse(p, y)))
+        power, base = (Fraction(1), Fraction(0)), y if n >= 0 else ref_inverse(p, y)
+        for _ in range(abs(n)):
+            power = ref_mul(p, power, base)
+        assert_matches(Y**n, p, power)
+    else:
+        with pytest.raises(ExactDivisionError):
+            Y.inverse()
+        with pytest.raises(ExactDivisionError):
+            X.exact_div(Y)
+    assert (X == Y) == (x == y)
+    assert (X == m) == (x == mm)
+    if X == Y:
+        assert hash(X) == hash(Y)
+    if X == m:
+        assert hash(X) == hash(m)
+    assert hash(SpecScalar(p, m, 0)) == hash(m)
+    assert bool(X) == any(x)
+    assert X.monomial_data() == ref_monomial_data(p, x)
+    assert X.is_p_integral() == ref_is_p_integral(p, x)
+    assert X.render() == ref_render(p, x)
+
+
+def test_spec_scalar_form_is_reduced():
+    s = SpecScalar(3, Fraction(1, 6), Fraction(1, 4))
+    assert (s.A, s.B, s.D) == (2, 3, 12)
+    s = SpecScalar(3, 1, 1).inverse()  # (1 - sqrt(3)) / (1 - 3)
+    assert (s.A, s.B, s.D) == (-1, 1, 2)
+    s = SpecScalar(5, Fraction(1, 2), Fraction(1, 2)) + SpecScalar(5, Fraction(1, 2), 0)
+    assert (s.A, s.B, s.D) == (2, 1, 2)
+    assert specialize(qpow(-3) * 9, 3) == SpecScalar(3, 0, 1)

@@ -1,7 +1,7 @@
 """The cached standard-monomial layer: pinned verify output (every verify id
-at its defaults, and the all-pairs Hall and Green sweeps under one and two
-jobs), equality with the direct ordered product, and the
-closed-form leader that the expansion inverts."""
+at its defaults, the all-pairs Hall and Green sweeps under one and two jobs,
+and basis --box 2 on atilde31 and atilde21), equality with the direct
+ordered product, and the closed-form leader that the expansion inverts."""
 
 import hashlib
 from itertools import product
@@ -43,6 +43,17 @@ def test_verify_json_output_is_pinned(capsys, statement, digest):
 ])
 def test_all_pairs_json_output_is_pinned(capsys, statement, digest, jobs):
     rc = cli.main(["--jobs", jobs, "verify", statement, "--all-pairs", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("atilde31", "818c072d731cf7394cb1f64afe1dada295aff0d8cf00d46514655ba35abc9894"),
+    ("atilde21", "60a8b6fb31c6ea2a940c93857de76fafb717024336a013077279efb0eac23ead"),
+])
+def test_affine_basis_json_output_is_pinned(capsys, name, digest):
+    rc = cli.main(["basis", "--quiver", name, "--prime", "3", "--box", "2", "--json"])
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
