@@ -19,7 +19,6 @@ from .ccmap import ClusterObject, cc_map, cc_map_formal
 from .families import RepFamily
 from .modp import Budget, BudgetExceededError, is_prime
 from .quiver import IceQuiver, QuiverError
-from .scalars import FORMAL, SpecializedMode
 from .seeds import QuantumSeed
 
 FIXTURE_ROOT = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -252,13 +251,10 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    name = args.quiver
-    model = catalog.get(name).model
-    mode = SpecializedMode(args.prime) if args.prime else FORMAL
-    seed = QuantumSeed.initial(model, mode)
+    seed = QuantumSeed.initial(catalog.get(args.quiver).model)
     for k in args.seq:
         seed = seed.mutate(k)
-    print(seed.render())
+    print(seed.render(args.prime))
     return 0
 
 

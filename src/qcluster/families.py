@@ -24,7 +24,7 @@ class InterpolationError(ValueError):
 class RepFamily:
     """Matrix template over Z with an optional symbol 'L' for the parameter."""
 
-    def __init__(self, quiver, dims, mats, bad_primes=(), lam_rule=None, name=None):
+    def __init__(self, quiver, dims, mats, bad_primes=(), name=None):
         self.quiver = quiver
         self.dims = tuple(int(d) for d in dims)
         self.mats = {}
@@ -35,14 +35,14 @@ class RepFamily:
                 mat = tuple((0,) * self.dims[s - 1] for _ in range(self.dims[t - 1]))
             self.mats[idx] = tuple(tuple(x for x in row) for row in mat)
         self.bad_primes = frozenset(bad_primes)
-        self.lam_rule = lam_rule or (lambda p: p - 1)
         self.name = name
 
     def instantiate(self, p: int, lam=None) -> QuiverRep:
+        """The representation mod p, with the parameter L at lam (default p - 1)."""
         if p in self.bad_primes:
             raise ValueError("prime %d is declared bad for this family" % p)
         if lam is None:
-            lam = self.lam_rule(p)
+            lam = p - 1
         mats = {}
         for idx, mat in self.mats.items():
             mats[idx] = tuple(tuple((lam if x == "L" else x) % p for x in row)

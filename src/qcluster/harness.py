@@ -851,10 +851,10 @@ def verify_standard_monomials(name: str, p: int, box_radius: int = 2) -> list[Ve
     reports = [VerifyReport("prop4.5", inputs + " independence", verdict="pass",
                             detail="%d monomials, distinct unique leaders" % len(leaders))]
     # frame variables after one mutation expand in standard monomials
-    seed0 = QuantumSeed.initial(model, SpecializedMode(p))
+    seed0 = QuantumSeed.initial(model)
     detail = ""
     for k in range(1, model.n + 1):
-        var = seed0.mutate(k).vars[k - 1]
+        var = seed0.mutate(k).vars[k - 1].specialize(p)
         try:
             coeffs = expand_in_standard_monomials(var, name, p)
         except ExpansionError as exc:
@@ -952,19 +952,19 @@ def verify_reflection_transport(name: str, v: int, obj: ClusterObject, p: int) -
     model2 = ClusterModel(refl, lam2, name=name + "'")
     obj2, _q2 = extended_coreflect(entry.principal, p, obj, v)
     rhs_side = cc_map(obj2, model2, p)
-    seed = QuantumSeed.initial(model, SpecializedMode(p)).mutate(v)
+    seed = QuantumSeed.initial(model).mutate(v)
     lhs = cc_map(obj, model, p)
     # re-express rhs through the mutated frame, shifting the v-exponent into
     # the nonnegative range where frame monomials are defined
     shift = max(0, -min((g[v - 1] for g in rhs_side.terms), default=0))
     ev = tuple(1 if i == v - 1 else 0 for i in range(model.m))
     nvec = tuple(shift * x for x in ev)
-    acc = seed.torus.zero()
+    acc = lhs.torus.zero()
     for g, c in sorted(rhs_side.terms.items()):
         tw = seed.pairing(g, nvec)
         arg = tuple(a + b for a, b in zip(g, nvec))
-        acc = acc + (seed.torus.q(tw) * seed.frame_monomial(arg)).scale(c)
-    want = lhs * seed.frame_monomial(nvec)
+        acc = acc + (seed.torus.q(tw) * seed.frame_monomial(arg)).specialize(p).scale(c)
+    want = lhs * seed.frame_monomial(nvec).specialize(p)
     return _cmp_report("thm4.1", inputs, want, acc)
 
 

@@ -1,10 +1,11 @@
 """Quantum seeds and their mutation.
 
 A seed stores the current skew form, the current exchange matrix and the
-expansion of every frame variable inside the initial torus.  Mutation in
-direction k replaces the k-th variable through the two-term exchange
-relation; the division by the outgoing variable is exact in the torus,
-which is itself a check of the Laurent property.
+expansion of every frame variable inside the initial formal torus.
+Mutation in direction k replaces the k-th variable through the two-term
+exchange relation; the division by the outgoing variable is exact in the
+torus, which is itself a check of the Laurent property.  A seed is read at
+q = p by specializing its variables (``ToricElement.specialize``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import catalog
 from .ccmap import ClusterObject, cc_map
 from .quiver import ClusterModel, check_compatible
 from .rep import simple
-from .scalars import FORMAL, SpecializedMode, qbinom, specialize
+from .scalars import FORMAL, SpecializedMode, qbinom
 from .torus import ToricElement, div_right, pairing
 
 
@@ -61,28 +62,27 @@ def mutate_matrices(lam, btilde, k: int):
 
 
 class QuantumSeed:
-    def __init__(self, model: ClusterModel, mode, lam, btilde, variables, d):
+    def __init__(self, model: ClusterModel, lam, btilde, variables, d):
         self.model = model
-        self.mode = mode
         self.lam = lam
         self.btilde = btilde
         self.vars = list(variables)
         self.d = d
 
     @classmethod
-    def initial(cls, model: ClusterModel, mode=FORMAL) -> "QuantumSeed":
-        torus = model.torus(mode)
+    def initial(cls, model: ClusterModel) -> "QuantumSeed":
+        torus = model.torus(FORMAL)
         unit = [0] * model.m
         variables = []
         for i in range(model.m):
             e = list(unit)
             e[i] = 1
             variables.append(torus.monomial(tuple(e)))
-        return cls(model, mode, model.lam, model.exch.btilde, variables, model.d)
+        return cls(model, model.lam, model.exch.btilde, variables, model.d)
 
     @property
     def torus(self):
-        return self.model.torus(self.mode)
+        return self.model.torus(FORMAL)
 
     def pairing(self, u, v) -> int:
         return pairing(self.lam, u, v)
@@ -134,7 +134,7 @@ class QuantumSeed:
             raise SeedError("mutation broke the compatible pair")
         new_vars = list(self.vars)
         new_vars[k0] = new_var
-        return QuantumSeed(self.model, self.mode, lam2, bt2, new_vars, self.d)
+        return QuantumSeed(self.model, lam2, bt2, new_vars, self.d)
 
     def mutated_value(self, k: int, c) -> ToricElement:
         """The mutated frame evaluated at c (needs c_k >= 0), computed from
@@ -152,10 +152,8 @@ class QuantumSeed:
         out = self.torus.zero()
         dk = self.d[k0]
         for t in range(ck + 1):
-            coeff = qbinom(ck, t, dk)
             arg = tuple(Ec[i] + t * bcol[i] for i in range(m))
-            scal = coeff if self.mode.formal else specialize(coeff, self.mode.p)
-            out = out + self.frame_monomial(arg).scale(scal)
+            out = out + self.frame_monomial(arg).scale(qbinom(ck, t, dk))
         return out
 
     def canonical_key(self):
@@ -163,8 +161,7 @@ class QuantumSeed:
                 tuple(tuple(sorted(v.terms.items())) for v in self.vars))
 
     def __eq__(self, other):
-        return (isinstance(other, QuantumSeed) and self.mode == other.mode
-                and self.canonical_key() == other.canonical_key())
+        return isinstance(other, QuantumSeed) and self.canonical_key() == other.canonical_key()
 
     def __hash__(self):
         return hash(self.canonical_key())
@@ -185,13 +182,14 @@ class QuantumSeed:
         lam2 = tuple(tuple(self.lam[inv[i]][inv[j]] for j in range(m)) for i in range(m))
         bt2 = tuple(tuple(self.btilde[inv[i]][inv[j]] for j in range(n)) for i in range(m))
         vars2 = [self.vars[inv[i]] for i in range(m)]
-        return QuantumSeed(self.model, self.mode, lam2, bt2, vars2, self.d)
+        return QuantumSeed(self.model, lam2, bt2, vars2, self.d)
 
-    def render(self) -> str:
+    def render(self, p: int | None = None) -> str:
+        """One line per frame variable, formal or, given a prime p, at q = p."""
         lines = []
         for i, v in enumerate(self.vars, 1):
             tag = "X%d" % i if i <= self.model.n else "X%d (frozen)" % i
-            lines.append("%s = %s" % (tag, v.render()))
+            lines.append("%s = %s" % (tag, (v if p is None else v.specialize(p)).render()))
         return "\n".join(lines)
 
 

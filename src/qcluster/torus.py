@@ -1,6 +1,10 @@
 """Based quantum torus: Z[q^(1/2),q^(-1/2)]-combinations of lattice monomials
 X^e multiplied through a skew-symmetric integer form, X^e X^f = q^(L(e,f)/2) X^(e+f).
 
+Right division is formal-only: t -> sqrt(p) is a ring homomorphism
+(``ToricElement.specialize``), so a quotient at q = p is the specialization
+of the formal one.
+
 In formal mode the product and right division work on coefficients split
 by parity, c = c_0(q) + t*c_1(q) with t = q^(1/2), each nonzero part
 packed as an integer at q = 2^W (``scalars.pack``).  Two parts
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .scalars import FORMAL, ExactDivisionError, ModeError, pack, unpack
+from .scalars import FORMAL, ExactDivisionError, ModeError, SpecializedMode, pack, unpack
 
 MAX_DIV_STEPS = 20000
 
@@ -155,12 +159,12 @@ class ToricElement:
         if torus.mode.formal:
             return _formal_mul(self, other)
         mode_qpow = torus.mode.qpow
-        lam = torus.lam
         terms: dict[tuple, object] = {}
         for e, ce in self.terms.items():
+            row = _twist_row(torus.lam, e)
             for f, cf in other.terms.items():
-                g = tuple(a + b for a, b in zip(e, f))
-                c = ce * cf * mode_qpow(pairing(lam, e, f))
+                g = tuple(map(add, e, f))
+                c = ce * cf * mode_qpow(sum(map(mul, row, f)))
                 s = terms.get(g)
                 terms[g] = c if s is None else s + c
         return ToricElement(torus, terms)
@@ -201,6 +205,13 @@ class ToricElement:
             raise ModeError("bar involution is only available in formal mode")
         return ToricElement(self.torus, {e: c.bar() for e, c in self.terms.items()})
 
+    def specialize(self, p: int) -> "ToricElement":
+        """Coefficientwise t -> sqrt(p), into the torus at q = p on the same form."""
+        if not self.torus.mode.formal:
+            raise ModeError("only a formal element can be specialized")
+        torus = Torus(self.torus.lam, SpecializedMode(p))
+        return ToricElement(torus, {e: c.specialize(p) for e, c in self.terms.items()})
+
     def support(self):
         return sorted(self.terms)
 
@@ -231,30 +242,6 @@ class ToricElement:
 
     def __repr__(self):
         return self.render()
-
-
-def normal_order(torus: Torus, c) -> ToricElement:
-    """The ordered product q^(sum_{i<j} c_i c_j lam_ji / 2) X_1^c1 ... X_m^cm.
-
-    In the based torus this always collapses to the single monomial X^c.
-    """
-    c = tuple(int(x) for x in c)
-    if len(c) != torus.m:
-        raise TorusError("exponent length mismatch")
-    half = 0
-    for i in range(torus.m):
-        if not c[i]:
-            continue
-        for j in range(i + 1, torus.m):
-            if c[j]:
-                half += c[i] * c[j] * torus.lam[j][i]
-    out = torus.q(half)
-    for i, ci in enumerate(c):
-        if ci:
-            e = [0] * torus.m
-            e[i] = ci
-            out = out * torus.monomial(tuple(e))
-    return out
 
 
 def _l1(s) -> int:
@@ -349,46 +336,18 @@ def _repack(rem: dict, width: int, new_width: int) -> None:
 
 
 def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
-    """The unique c with c*b = a, when it exists in the torus.
+    """The unique c with c*b = a, when it exists in the formal torus.
 
-    Works by peeling lex-leading terms; raises NonLaurentError when the
+    Peels lex-leading terms off a packed remainder keyed by (g, parity):
+    each step decodes the leading coefficient and updates the entries of the
+    |b| exponents it touches in place.  Raises NonLaurentError when the
     quotient does not stay a finite Laurent combination.
     """
     a._check(b)
+    if not a.torus.mode.formal:
+        raise ModeError("right division is only available in formal mode")
     if not b:
         raise ZeroDivisionError("division by zero toric element")
-    if a.torus.mode.formal:
-        return _formal_div_right(a, b)
-    torus = a.torus
-    eb, cb = b.leading()
-    quot_terms: dict[tuple, object] = {}
-    rem = a
-    steps = 0
-    prev = None
-    while rem:
-        steps += 1
-        if steps > MAX_DIV_STEPS:
-            raise NonLaurentError("division did not terminate")
-        ea, ca = rem.leading()
-        if prev is not None and ea >= prev:
-            raise NonLaurentError("division failed to reduce")
-        prev = ea
-        ec = tuple(x - y for x, y in zip(ea, eb))
-        tw = torus.mode.qpow(pairing(torus.lam, ec, eb))
-        try:
-            cc = ca.exact_div(cb * tw)
-        except ExactDivisionError as exc:
-            raise NonLaurentError("leading coefficient not divisible") from exc
-        piece = torus.monomial(ec, cc)
-        quot_terms[ec] = cc
-        rem = rem - piece * b
-    return ToricElement(torus, quot_terms)
-
-
-def _formal_div_right(a: ToricElement, b: ToricElement) -> ToricElement:
-    """div_right in formal mode on a packed remainder keyed by (g, parity):
-    each step decodes the leading coefficient and updates the entries of the
-    |b| exponents it touches in place."""
     torus = a.torus
     eb, cb = b.leading()
     linf_a, linf_b = _linf(a), _linf(b)

@@ -11,7 +11,6 @@ from qcluster import catalog, harness
 from qcluster import rep as R
 from qcluster.ccmap import ClusterObject, cc_map
 from qcluster.hall import dim_vectors_upto
-from qcluster.scalars import FORMAL, SpecializedMode
 from qcluster.seeds import QuantumSeed
 
 
@@ -147,7 +146,7 @@ def test_criterion_10_mutation_suite():
     ok = True
     for name in ("a2", "a3", "kronecker"):
         model = catalog.get(name).model
-        seed = QuantumSeed.initial(model, FORMAL)
+        seed = QuantumSeed.initial(model)
         for k in range(1, model.n + 1):
             mutated = seed.mutate(k)
             ok = ok and mutated.mutate(k) == seed
@@ -156,7 +155,7 @@ def test_criterion_10_mutation_suite():
     # the five-step alternating walk returns the initial seed up to the
     # transposition of the two mutable indices; ten steps literally
     model = catalog.get("a2").model
-    init = QuantumSeed.initial(model, FORMAL)
+    init = QuantumSeed.initial(model)
     five = init
     for k in (1, 2, 1, 2, 1):
         five = five.mutate(k)

@@ -7,8 +7,7 @@ from qcluster import rep as R
 from qcluster.ccmap import (ClusterObject, cc_delta, cc_map, cc_map_formal,
                             extended_coreflect, extended_reflect,
                             generic_variable, shifted_projective)
-from qcluster.scalars import SpecializedMode, specialize
-from qcluster.torus import ToricElement
+from qcluster.scalars import SpecializedMode
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +64,7 @@ def test_specialization_commutes():
         fam = catalog.family_for("kronecker", fam_name)
         formal = cc_map_formal(fam, {}, model)
         for p in (3, 5):
-            torus = model.torus(SpecializedMode(p))
-            spec = ToricElement(torus, {e: specialize(c, p)
-                                        for e, c in formal.terms.items()})
-            assert spec == cc_map(ClusterObject(fam.instantiate(p)), model, p)
+            assert formal.specialize(p) == cc_map(ClusterObject(fam.instantiate(p)), model, p)
 
 
 def test_generic_variable_routes(kron):

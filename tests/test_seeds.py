@@ -10,7 +10,7 @@ from qcluster.seeds import QuantumSeed, SeedError, mutate_matrices, standard_mon
 
 @pytest.fixture(scope="module")
 def kron_seed():
-    return QuantumSeed.initial(catalog.get("kronecker").model, FORMAL)
+    return QuantumSeed.initial(catalog.get("kronecker").model)
 
 
 def test_matrix_mutation_involution():
@@ -42,9 +42,9 @@ def test_seed_mutation_involution(kron_seed):
 def test_mutated_variable_is_simple_image():
     p = 3
     entry = catalog.get("kronecker")
-    seed = QuantumSeed.initial(entry.model, SpecializedMode(p))
+    seed = QuantumSeed.initial(entry.model)
     for k in (1, 2):
-        var = seed.mutate(k).vars[k - 1]
+        var = seed.mutate(k).vars[k - 1].specialize(p)
         want = cc_map(ClusterObject(simple(entry.principal, p, k)), entry.model, p)
         assert var == want
 
@@ -61,7 +61,7 @@ def test_laurent_property_depth8():
     # every mutated variable stays a finite toric element along long walks
     for name in ("a2", "a3", "kronecker"):
         model = catalog.get(name).model
-        seed = QuantumSeed.initial(model, FORMAL)
+        seed = QuantumSeed.initial(model)
         walk = [1, 2, 1, 2, 1, 2, 1, 2] if model.n == 2 else [1, 2, 3, 1, 2, 3, 1, 2]
         for k in walk:
             seed = seed.mutate(k)
@@ -71,7 +71,7 @@ def test_laurent_property_depth8():
 
 def test_pentagon():
     model = catalog.get("a2").model
-    init = QuantumSeed.initial(model, FORMAL)
+    init = QuantumSeed.initial(model)
     seed = init
     for k in (1, 2, 1, 2, 1):
         seed = seed.mutate(k)

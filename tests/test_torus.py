@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from qcluster import catalog
 from qcluster.scalars import FORMAL, ModeError, SpecializedMode, qpow
+from qcluster.seeds import QuantumSeed
 from qcluster.torus import (
     NonLaurentError,
     Torus,
     ToricElement,
     div_right,
     monomial_mul,
-    normal_order,
     pairing,
 )
 
@@ -102,11 +103,30 @@ def test_bar_specialized_errors():
         Ts.monomial((1, 0, 0, 0)).bar()
 
 
+def test_div_right_specialized_errors():
+    Ts = Torus(KRON_LAM, SpecializedMode(3))
+    x = Ts.monomial((1, 0, 0, 0))
+    with pytest.raises(ModeError):
+        div_right(x, x)
+
+
+def test_specialize_specialized_errors(T):
+    x = T.monomial((1, 0, 0, 0), qpow(1)).specialize(3)
+    assert x == Torus(KRON_LAM, SpecializedMode(3)).monomial(
+        (1, 0, 0, 0), SpecializedMode(3).qpow(1))
+    with pytest.raises(ModeError):
+        x.specialize(3)
+
+
 def test_normal_order(T):
-    assert normal_order(T, (0, 0, 0, 0)) == T.one()
-    assert normal_order(T, (0, 0, 1, 0)) == T.monomial((0, 0, 1, 0))
+    # the normal-ordered frame monomials of the initial seed are the based
+    # monomials X^c: the q-power prefactor cancels the ordering twist
+    seed = QuantumSeed.initial(catalog.get("kronecker").model)
+    assert seed.model.lam == KRON_LAM
+    assert seed.frame_monomial((0, 0, 0, 0)) == T.one()
+    assert seed.frame_monomial((0, 0, 1, 0)) == T.monomial((0, 0, 1, 0))
     for c in [(1, 1, 0, 1), (2, -1, 3, 0), (-1, 2, 0, 2)]:
-        assert normal_order(T, c) == T.monomial(c)
+        assert seed.frame_monomial(c) == T.monomial(c)
 
 
 def test_normal_order_prefactor_matches_product(T):
