@@ -129,6 +129,9 @@ class FormalScalar:
             raise ExactDivisionError("division by zero scalar")
         if not self:
             return FormalScalar()
+        md = other.monomial_data()
+        if md is not None and md[1] in (1, -1):
+            return self.times_term(-md[0], md[1])
         # shift both to honest polynomials and run long division from the top
         lo_s, lo_o = min(self.terms), min(other.terms)
         a = _dense(self, lo_s)

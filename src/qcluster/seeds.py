@@ -96,7 +96,11 @@ class QuantumSeed:
         c = tuple(int(x) for x in c)
         if len(c) != self.model.m:
             raise SeedError("exponent length mismatch")
-        half = 0
+        return self._frame_product(c, 0)
+
+    def _frame_product(self, c, half: int) -> ToricElement:
+        """q^(half/2) times the frame monomial at c: the central power joins
+        the normal-ordering power, so the product is relabelled once."""
         for i in range(len(c)):
             if not c[i]:
                 continue
@@ -126,8 +130,8 @@ class QuantumSeed:
         vpos = tuple(max(0, -b) if i != k0 else 0 for i, b in enumerate(bcol))
         wpos = tuple(max(0, b) if i != k0 else 0 for i, b in enumerate(bcol))
         ek = tuple(1 if i == k0 else 0 for i in range(m))
-        rhs = (self.torus.q(self.pairing(vpos, ek)) * self.frame_monomial(vpos)
-               + self.torus.q(self.pairing(wpos, ek)) * self.frame_monomial(wpos))
+        rhs = (self._frame_product(vpos, self.pairing(vpos, ek))
+               + self._frame_product(wpos, self.pairing(wpos, ek)))
         new_var = div_right(rhs, self.vars[k0])
         lam2, bt2 = mutate_matrices(self.lam, self.btilde, k)
         if check_compatible(lam2, bt2) != self.d:

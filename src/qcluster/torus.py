@@ -13,18 +13,26 @@ parity (p1 + p2 + L(e,f)) mod 2 at X^(e+f), with lowest q power
 lo1 + lo2 + floor((p1 + p2 + L(e,f))/2) and packed value x*y; products and
 remainders are accumulated per (exponent, parity).  A factor that is a
 single term c*t^k*X^e needs no packing: the product relabels the other
-factor's exponents and half powers.  The width W keeps every digit of
-every packed value strictly below 2^(W-1) in absolute value, so packed
-sums and products never carry between digits; the digits of a part are a
-subset of the coefficient's, so the bounds are those of the coefficients:
+factor's exponents and half powers.  A square x*x (one object on both
+sides, as in ``x ** 2``) multiplies each unordered pair of packed values
+{(e, x), (f, y)} once and adds x*y at both twists, L(e,f) for x*y and
+L(f,e) = -L(e,f) for y*x.  The width W keeps every digit of every packed
+value strictly below 2^(W-1) in absolute value, so packed sums and
+products never carry between digits; the digits of a part are a subset of
+the coefficient's, so the bounds are those of the coefficients:
 
 - a product a*b uses W = bit_length(l1(a) * linf(b)) + 1, where l1(a) sums
   the absolute values of all integer coefficients of a and linf(b) is the
   largest of those of b; each result digit is a sum of at most one product
   per integer coefficient of a;
 - right division a/b keeps every remainder digit within
-  linf(a) + l1(quotient so far) * linf(b), and widens W (decode, re-encode)
-  before that bound reaches 2^(W-1).
+  linf(a) + l1(quotient so far) * linf(b).  It starts at
+  W = bit_length(linf(a) + ceil(l1(a)/l1(b)) * linf(b)) + 1 and widens W
+  (decode, re-encode) before that bound reaches 2^(W-1).  When a and b
+  have nonnegative coefficients, as exchange numerators and quantum
+  cluster variables do (positivity), nothing cancels in c*b, so
+  l1(a) = l1(c) * l1(b) and the start width already covers the whole
+  quotient; with mixed signs the division may still widen partway.
 """
 
 from __future__ import annotations
@@ -180,8 +188,10 @@ class ToricElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.torus.one()
-        for _ in range(n):
+        if n == 0:
+            return self.torus.one()
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -283,19 +293,40 @@ def _relabel(x: ToricElement, e, k: int, c: int, sign: int) -> ToricElement:
         for f, v in x.terms.items()})
 
 
+def _add_packed(acc: dict, g, h: int, lo: int, n: int, width: int) -> None:
+    """Add n*t^h*q^lo at X^g to the entry acc[(g, h mod 2)] = [lowest q
+    power, packed value], aligning the two at the lower q power; an entry
+    that cancels is dropped."""
+    key = g, h & 1
+    lo += h >> 1
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [lo, n]
+        return
+    if lo >= cur[0]:
+        n = cur[1] + (n << width * (lo - cur[0]))
+    else:
+        n = (cur[1] << width * (cur[0] - lo)) + n
+        cur[0] = lo
+    if n:
+        cur[1] = n
+    else:
+        del acc[key]
+
+
 def _decode(acc: dict, width: int) -> dict:
-    """g -> FormalScalar from the nonzero entries (g, parity) -> [lo, n];
-    both parity parts of a g decode into one scalar."""
+    """g -> FormalScalar from the entries (g, parity) -> [lo, n]; both
+    parity parts of a g decode into one scalar."""
     parts: dict[tuple, list] = {}
     for (g, parity), (lo, n) in acc.items():
-        if n:
-            parts.setdefault(g, []).append((parity, lo, n))
+        parts.setdefault(g, []).append((parity, lo, n))
     return {g: unpack(*ps, width) for g, ps in parts.items()}
 
 
 def _formal_mul(a: ToricElement, b: ToricElement) -> ToricElement:
     """a*b in formal mode: a relabelling when a factor is a single term,
-    else one big-int product per pair of packed parity parts."""
+    else one big-int product per pair of packed parity parts, or per
+    unordered pair of them when a is b."""
     one = _single_term(a)
     if one is not None:
         return _relabel(b, *one, 1)
@@ -304,8 +335,21 @@ def _formal_mul(a: ToricElement, b: ToricElement) -> ToricElement:
         return _relabel(a, *one, -1)
     torus = a.torus
     width = (sum(map(_l1, a.terms.values())) * _linf(b)).bit_length() + 1
+    acc: dict[tuple, list] = {}
+    if a is b:
+        # x*y at L(e, f) and y*x at L(f, e) = -L(e, f) share the product
+        vals = [(e, _twist_row(torus.lam, e), pe, lo_e, x)
+                for e, ce in a.terms.items() for pe, lo_e, x in pack(ce, width)]
+        for i, (e, row, pe, lo_e, x) in enumerate(vals):
+            _add_packed(acc, tuple(map(add, e, e)), 2 * pe, 2 * lo_e, x * x, width)
+            for f, _row, pf, lo_f, y in vals[i + 1:]:
+                tw = sum(map(mul, row, f))
+                g = tuple(map(add, e, f))
+                n = x * y
+                _add_packed(acc, g, pe + pf + tw, lo_e + lo_f, n, width)
+                _add_packed(acc, g, pe + pf - tw, lo_e + lo_f, n, width)
+        return ToricElement(torus, _decode(acc, width))
     packed_b = [(f, pack(c, width)) for f, c in b.terms.items()]
-    acc: dict[tuple, list] = {}      # (g, parity) -> [lowest q power, packed value]
     for e, ce in a.terms.items():
         parts_e = pack(ce, width)
         row = _twist_row(torus.lam, e)
@@ -314,17 +358,7 @@ def _formal_mul(a: ToricElement, b: ToricElement) -> ToricElement:
             g = tuple(map(add, e, f))
             for pe, lo_e, x in parts_e:
                 for pf, lo_f, y in parts_f:
-                    h = pe + pf + tw
-                    key = g, h & 1
-                    lo = lo_e + lo_f + (h >> 1)
-                    cur = acc.get(key)
-                    if cur is None:
-                        acc[key] = [lo, x * y]
-                    elif lo >= cur[0]:
-                        cur[1] += x * y << width * (lo - cur[0])
-                    else:
-                        cur[1] = (cur[1] << width * (cur[0] - lo)) + x * y
-                        cur[0] = lo
+                    _add_packed(acc, g, pe + pf + tw, lo_e + lo_f, x * y, width)
     return ToricElement(torus, _decode(acc, width))
 
 
@@ -351,8 +385,9 @@ def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
     torus = a.torus
     eb, cb = b.leading()
     linf_a, linf_b = _linf(a), _linf(b)
+    l1_a, l1_b = (sum(map(_l1, x.terms.values())) for x in (a, b))
     quot_l1 = 0
-    width = linf_a.bit_length() + 1
+    width = (linf_a + -(-l1_a // l1_b) * linf_b).bit_length() + 1
     rem = {(e, parity): [lo, n] for e, c in a.terms.items()
            for parity, lo, n in pack(c, width)}
     packed_b = [(f, pack(c, width)) for f, c in b.terms.items()]
@@ -383,26 +418,11 @@ def div_right(a: ToricElement, b: ToricElement) -> ToricElement:
             _repack(rem, width, new_width)
             width = new_width
             packed_b = [(f, pack(c, width)) for f, c in b.terms.items()]
-        parts_c = pack(cc, width)
+        parts_c = pack(-cc, width)
         for f, parts_f in packed_b:
             tw = sum(map(mul, row, f))
             g = tuple(map(add, ec, f))
             for pc, lo_c, z in parts_c:
                 for pf, lo_f, y in parts_f:
-                    h = pc + pf + tw
-                    key = g, h & 1
-                    lo = lo_c + lo_f + (h >> 1)
-                    cur = rem.get(key)
-                    if cur is None:
-                        rem[key] = [lo, -(z * y)]
-                        continue
-                    if lo >= cur[0]:
-                        n = cur[1] - (z * y << width * (lo - cur[0]))
-                    else:
-                        n = (cur[1] << width * (cur[0] - lo)) - z * y
-                        cur[0] = lo
-                    if n:
-                        cur[1] = n
-                    else:
-                        del rem[key]
+                    _add_packed(rem, g, pc + pf + tw, lo_c + lo_f, z * y, width)
     return ToricElement(torus, quot_terms)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qcluster import catalog
 from qcluster import torus as torus_mod
-from qcluster.scalars import FORMAL, FormalScalar, SpecializedMode, pack, specialize, unpack
+from qcluster.scalars import (FORMAL, ExactDivisionError, FormalScalar, SpecializedMode, pack,
+                              specialize, unpack)
 from qcluster.torus import Torus, ToricElement, div_right, monomial_mul
 
 KRON_LAM = (
@@ -25,6 +26,10 @@ BIG = 2 ** 200
 
 coeffs = st.dictionaries(st.integers(-40, 40), st.integers(-BIG, BIG),
                          min_size=1, max_size=4).map(FormalScalar).filter(bool)
+
+
+small = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                        min_size=1, max_size=3).map(FormalScalar).filter(bool)
 
 
 def elements(T, max_terms=4):
@@ -70,6 +75,46 @@ def test_product_matches_reference(name, data):
 @pytest.mark.parametrize("name", sorted(TORI))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_square_matches_general_product(name, data):
+    """x*x on one object takes the unordered-pair square; a copy of x takes
+    the general product."""
+    T = TORI[name]
+    x = data.draw(elements(T))
+    assert (x * x).terms == (x * ToricElement(T, dict(x.terms))).terms == reference_mul(x, x)
+
+
+def reference_power(x, n):
+    out = x.torus.one()
+    for _ in range(n):
+        out = ToricElement(x.torus, reference_mul(out, x))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_power_matches_repeated_product(name, data):
+    T = TORI[name]
+    x = data.draw(elements(T, max_terms=3))
+    for n in range(5):
+        assert x ** n == reference_power(x, n)
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(-9, 9), sign=st.sampled_from([1, -1]),
+       n=st.integers(1, 4))
+def test_negative_power_of_monomial(name, data, k, sign, n):
+    T = TORI[name]
+    e = data.draw(st.tuples(*[st.integers(-2, 2)] * T.m))
+    x = T.monomial(e, FormalScalar({k: sign}))
+    assert x ** -n == reference_power(x.inverse(), n)
+    assert x ** -n * x ** n == T.one()
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_div_right_inverts_product(name, data):
     T = TORI[name]
     c = data.draw(elements(T))
@@ -77,12 +122,52 @@ def test_div_right_inverts_product(name, data):
     assert div_right(c * b, b) == c
 
 
+def long_div(s, d):
+    """s/d in Z[t, t^-1] by long division from the top, or None when it is
+    inexact: an exact quotient's lowest power is min(s) - min(d)."""
+    quot, rem = {}, dict(s.terms)
+    top, low = max(d.terms), min(s.terms) - min(d.terms)
+    while rem:
+        k = max(rem) - top
+        if k < low or rem[k + top] % d.terms[top]:
+            return None
+        c = quot[k] = rem[k + top] // d.terms[top]
+        for j, v in d.terms.items():
+            r = rem.pop(k + j, 0) - c * v
+            if r:
+                rem[k + j] = r
+    return FormalScalar(quot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=coeffs, k=st.integers(-40, 40), sign=st.sampled_from([1, -1]))
+def test_exact_div_by_unit_matches_long_division(s, k, sign):
+    assert s.exact_div(FormalScalar({k: sign})) == long_div(s, FormalScalar({k: sign}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=small, d=small.filter(lambda d: d.monomial_data() is None
+                                or d.monomial_data()[1] not in (1, -1)), exact=st.booleans())
+def test_exact_div_by_non_unit(s, d, exact):
+    if exact:
+        s = s * d
+    q = long_div(s, d)
+    if q is None:
+        with pytest.raises(ExactDivisionError):
+            s.exact_div(d)
+    else:
+        assert s.exact_div(d) == q and q * d == s
+
+
 def test_division_widens_partway(monkeypatch):
     """With x = X^(0,1,0,0), b = x^2 - x and c = x^6 + M(1 + x + x^2)^2, the
-    product a = c*b has digits of size at most M, so W starts at
-    bit_length(M) + 1.  That holds for the first quotient term x^6 but not
-    for the next one, M x^4: the remainder after it, M(1 + 2x + 3x^2 + 2x^3)*b,
-    has leading digit 2M > 2^(W-1), which only a wider W decodes."""
+    product a = c*b has digits of size at most M and l1(a) = 6M + 2, so W
+    starts at bit_length(M + ceil(l1(a)/l1(b))*1) + 1 = bit_length(4M + 1) + 1.
+    That covers l1(c) only for nonnegative operands: here signs cancel in a,
+    and l1(c) = 9M + 1.  The guard holds through x^6, M x^4 and 2M x^3 and
+    fires at 3M x^2, when the quotient's l1 reaches 6M + 1 and the bound
+    7M + 1 needs one more bit; the remainder M(1 + 2x + 3x^2)*b still has
+    four entries then."""
     T = TORI["kronecker"]
     calls = []
     repack = torus_mod._repack
@@ -104,13 +189,9 @@ def test_division_widens_partway(monkeypatch):
     assert div_right(a, b) == c
     assert len(calls) == 1
     left, width, new_width = calls[0]
-    assert width == M.bit_length() + 1 < new_width
-    assert 2 * M > 2 ** (width - 1)
-    assert left == 6   # a less x^6 * b, before the second step's update
-
-
-small = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
-                        min_size=1, max_size=3).map(FormalScalar).filter(bool)
+    assert width == (4 * M + 1).bit_length() + 1 < new_width == 2 * width
+    assert (7 * M + 1).bit_length() + 1 > width
+    assert left == 4   # a less (x^6 + M x^4 + 2M x^3)*b
 
 
 def small_elements(T):

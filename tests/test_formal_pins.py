@@ -10,7 +10,8 @@ import hashlib
 
 import pytest
 
-from qcluster import catalog, cli
+from qcluster import catalog, cli, torus
+from qcluster.seeds import QuantumSeed
 
 # (quiver, --seq, SHA-256 of the formal stdout, {p: SHA-256 of the stdout of
 # --prime p}): three rounds through every mutable direction in order
@@ -94,6 +95,28 @@ def test_formal_mutate_output_is_pinned(capsys, name, seq, digest):
     assert cli.main(["mutate", "--quiver", name, "--seq", seq]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_mutate_never_widens_a_division(monkeypatch):
+    """Cluster variables have nonnegative coefficients, so the quotient's l1
+    is l1(numerator)/l1(outgoing variable) and div_right's first width is
+    its last: no remainder is re-encoded along the pinned sequences or the
+    13-step alternating Kronecker walk from either side."""
+    calls = []
+    repack = torus._repack
+
+    def spy(rem, width, new_width):
+        calls.append((name, width, new_width))
+        repack(rem, width, new_width)
+
+    monkeypatch.setattr(torus, "_repack", spy)
+    walks = [(name, [int(k) for k in seq.split(",")]) for name, seq, *_pins in MUTATE_PINS]
+    walks += [("kronecker", [1 + (first + i) % 2 for i in range(13)]) for first in (0, 1)]
+    for name, seq in walks:
+        seed = QuantumSeed.initial(catalog.get(name).model)
+        for k in seq:
+            seed = seed.mutate(k)
+    assert calls == []
 
 
 SPECIALIZED_MUTATE_PINS = [(name, seq, p, digest) for name, seq, _digest, by_prime in MUTATE_PINS
