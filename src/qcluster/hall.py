@@ -54,18 +54,37 @@ def _gl_generators(n, p):
 
 def _block_table(rows, cols, left, right, p):
     """X -> left X right as a permutation of the base-p indices of the
-    row-major rows x cols matrices X."""
-    table = []
-    for values in product(range(p), repeat=rows * cols):
-        X = tuple(values[i * cols:(i + 1) * cols] for i in range(rows))
+    row-major rows x cols matrices X.
+
+    modp.odometer walks the matrices X in index order.  The map is linear,
+    so the step that raises entry k adds the images of the unit matrices
+    E_k, E_k+1, ... to the current image.  That sum is formed once per k,
+    and each step updates the image's index by the image digits it
+    changes, with no matrix product."""
+    n = rows * cols
+    weights = [p ** (n - 1 - k) for k in range(n)]
+    steps = []
+    tail = [0] * n
+    for k in reversed(range(n)):
+        X = tuple(tuple(int(i * cols + j == k) for j in range(cols))
+                  for i in range(rows))
         if left is not None:
             X = modp.mat_mul(left, X, p)
         if right is not None:
             X = modp.mat_mul(X, right, p)
-        index = 0
-        for row in X:
-            for x in row:
-                index = index * p + x
+        tail = [(a + x) % p for a, x in zip(tail, (x for row in X for x in row))]
+        steps.append([(pos, delta, weights[pos])
+                      for pos, delta in enumerate(tail) if delta])
+    steps.reverse()
+    table = [0]
+    image = [0] * n
+    index = 0
+    for k in modp.odometer(n, p):
+        for pos, delta, weight in steps[k]:
+            old = image[pos]
+            new = (old + delta) % p
+            image[pos] = new
+            index += (new - old) * weight
         table.append(index)
     return table
 

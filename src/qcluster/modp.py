@@ -199,6 +199,26 @@ def span_contains(span_rref, v, p, ncols):
     return not any(v)
 
 
+def odometer(n, p):
+    """The walk of F_p^n in itertools.product order after the zero vector:
+    at each step, the position of the digit that goes up by one.  Every
+    later digit wraps from p - 1 to 0 in the same step, so with the zero
+    vector at the start, a linear image of the walk gains the images of the
+    unit vectors at that position and after it, whether a digit goes up or
+    wraps."""
+    digits = [0] * n
+    top = p - 1
+    while True:
+        i = n - 1
+        while i >= 0 and digits[i] == top:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+        yield i
+
+
 def gaussian_binomial(d, k, p):
     """[d, k]_p, the number of k-dimensional subspaces of F_p^d."""
     if k < 0 or k > d:

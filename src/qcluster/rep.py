@@ -164,21 +164,80 @@ def ext_dim(M, N) -> int:
     return val
 
 
-def _blocks_invertible(blocks, dims, p):
-    for block, d in zip(blocks, dims):
-        if d and not modp.is_invertible(block, p):
-            return False
-    return True
+def _vertex_slices(M, N):
+    """(start, rows, cols) of each vertex block N_v x M_v inside a module
+    map that is flattened vertex by vertex, each block row-major."""
+    out = []
+    start = 0
+    for r, c in zip(N.dims, M.dims):
+        out.append((start, r, c))
+        start += r * c
+    return out
+
+
+def _hom_walk(basis, M, N):
+    """Every nonzero element of the span of basis in Hom(M, N), flattened
+    as _vertex_slices lays it out, in the itertools.product order of the
+    coefficient vectors.
+
+    The coefficients step by modp.odometer, and the step that raises digit
+    i adds the sum of basis elements i onwards, formed when digit i first
+    moves.  Each element ticks hom_elements once and is a new list, which
+    the caller may keep."""
+    p = M.p
+    last = len(basis) - 1
+    steps = [None] * len(basis)
+    acc = [0] * sum(r * c for r, c in zip(N.dims, M.dims))
+    budget = modp.meter()
+    for i in modp.odometer(len(basis), p):
+        step = steps[i]
+        if step is None:
+            step = [x for block in basis[i] for row in block for x in row]
+            if i < last:
+                step = [(a + x) % p for a, x in zip(step, steps[i + 1])]
+            steps[i] = step
+        acc = [(a + x) % p for a, x in zip(acc, step)]
+        budget.tick("hom_elements")
+        yield acc
+
+
+def _is_unit(flat, d, p):
+    """Whether the d x d matrix with row-major entries flat (reduced mod p)
+    is invertible: a closed-form determinant up to 3 x 3, a rank beyond."""
+    if d == 1:
+        return flat[0] != 0
+    if d == 2:
+        a, b, u, v = flat
+        return (a * v - b * u) % p != 0
+    if d == 3:
+        a, b, c, u, v, w, x, y, z = flat
+        return (a * (v * z - w * y) - b * (u * z - w * x)
+                + c * (u * y - v * x)) % p != 0
+    return modp.rank([flat[i * d:(i + 1) * d] for i in range(d)], p) == d
+
+
+def _automorphisms(walk, M):
+    """The elements of walk, a walk of Hom(M, M), that are invertible."""
+    p = M.p
+    blocks = [(start, start + d * d, d)
+              for start, d, _ in _vertex_slices(M, M) if d]
+    for flat in walk:
+        for start, stop, d in blocks:
+            if not _is_unit(flat[start:stop], d, p):
+                break
+        else:
+            yield flat
 
 
 def hom_elements(basis, M, N):
-    """Iterate all elements of the Hom space spanned by basis (skipping 0)."""
-    budget = modp.meter()
-    for coeffs in product(range(M.p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        budget.tick("hom_elements")
-        yield combine(coeffs, basis, M, N)
+    """Every nonzero element of the span of basis in Hom(M, N) as a tuple of
+    vertex blocks, in the itertools.product order of its coefficient vector
+    (the last coefficient moves fastest); ticks hom_elements once per
+    element."""
+    slices = _vertex_slices(M, N)
+    for flat in _hom_walk(basis, M, N):
+        yield tuple(tuple(tuple(flat[start + i * c:start + (i + 1) * c])
+                          for i in range(r)) for start, r, c in slices)
 
 
 def iso_test(M: QuiverRep, N: QuiverRep) -> bool:
@@ -198,21 +257,13 @@ def iso_test(M: QuiverRep, N: QuiverRep) -> bool:
         return False
     if len(basis) != hom_dim(M, M):
         return False
-    for blocks in hom_elements(basis, M, N):
-        if _blocks_invertible(blocks, M.dims, M.p):
-            return True
-    return False
+    return next(_automorphisms(_hom_walk(basis, M, N), M), None) is not None
 
 
 def aut_count(M: QuiverRep) -> int:
     if M.is_zero():
         return 1
-    basis = hom_basis(M, M)
-    count = 0
-    for blocks in hom_elements(basis, M, M):
-        if _blocks_invertible(blocks, M.dims, M.p):
-            count += 1
-    return count
+    return sum(1 for _ in _automorphisms(_hom_walk(hom_basis(M, M), M, M), M))
 
 
 def is_indecomposable(M: QuiverRep) -> bool:
@@ -220,12 +271,15 @@ def is_indecomposable(M: QuiverRep) -> bool:
     if M.is_zero():
         return False
     p = M.p
-    basis = hom_basis(M, M)
-    idmats = tuple(modp.identity(d) for d in M.dims)
-    for blocks in hom_elements(basis, M, M):
-        sq = tuple(modp.mat_mul_shaped(b, b, p, d, d)
-                   for b, d in zip(blocks, M.dims))
-        if sq == blocks and blocks != idmats:
+    entries = [(start + i * d + j, [(start + i * d + k, start + k * d + j)
+                                    for k in range(d)])
+               for start, d, _ in _vertex_slices(M, M)
+               for i in range(d) for j in range(d)]
+    ident = [int(i == j) for d in M.dims for i in range(d) for j in range(d)]
+    for flat in _hom_walk(hom_basis(M, M), M, M):
+        if flat != ident and all(
+                sum(flat[a] * flat[b] for a, b in terms) % p == flat[pos]
+                for pos, terms in entries):
             return False
     return True
 

@@ -79,21 +79,21 @@ def test_same_representatives_as_brute_force(name, p):
 
 def test_orbit_mass_formula():
     # sum_[M] |G_d| / |Aut M| = p^entries, with |Aut M| from aut_count;
-    # aut_count walks all of End M, so classes with more than 4096
-    # endomorphisms (End M_4(F_3) has 3^16) are left to the other tests
+    # aut_count walks all of End M, so classes with more than 3^10
+    # endomorphisms (End M_4(F_p) has p^16) are left to the other tests
     checked = 0
     for name in NAMES:
         for p in PRIMES:
             store = fresh_store(name, p)
             for dims in sweep_dims(store):
                 reps = store.iso_classes(dims)
-                if any(p ** R.hom_dim(M, M) > 4096 for M in reps):
+                if any(p ** R.hom_dim(M, M) > 3 ** 10 for M in reps):
                     continue
                 mass = sum(Fraction(store.group_order(dims),
                                     R.aut_count(M)) for M in reps)
                 assert mass == p ** store.matrix_entry_count(dims), (name, p, dims)
                 checked += 1
-    assert checked == 138
+    assert checked == 172
 
 
 def test_aut_checks_orbit_stabiliser():
