@@ -11,6 +11,7 @@ oriented so that the golden exchange data below comes out exactly.
 from __future__ import annotations
 
 import warnings
+from operator import mul
 
 from .torus import Torus, pairing
 
@@ -168,6 +169,8 @@ class ExchangeData:
                             for r1, r2 in zip(rtt, rt))
         self.itilde = tuple(tuple(1 if i == j else 0 for j in range(n))
                             for i in range(m))
+        self.ir = tuple(tuple(a - b for a, b in zip(r1, r2))
+                        for r1, r2 in zip(self.itilde, self.rtilde))
         self.b = tuple(row[:n] for row in self.btilde[:n])
         self.r = tuple(row[:n] for row in self.rtilde[:n])
         self.m = m
@@ -175,14 +178,11 @@ class ExchangeData:
 
     def btilde_vec(self, e):
         """btilde * e for a principal vector e of length n."""
-        return tuple(sum(row[j] * e[j] for j in range(self.n)) for row in self.btilde)
+        return tuple(sum(map(mul, row, e)) for row in self.btilde)
 
     def ir_vec(self, mv):
         """(itilde - rtilde) * mv for a principal vector of length n."""
-        return tuple(
-            sum((self.itilde[i][j] - self.rtilde[i][j]) * mv[j] for j in range(self.n))
-            for i in range(self.m)
-        )
+        return tuple(sum(map(mul, row, mv)) for row in self.ir)
 
 
 def build_matrices(quiver: IceQuiver) -> ExchangeData:

@@ -219,10 +219,15 @@ def unpack(*parts_and_width) -> FormalScalar:
         k = 2 * lo + parity
         while n:
             d = n & mask
+            if not d:
+                # a run of zero digits: skip to the lowest set bit
+                z = ((n & -n).bit_length() - 1) // width
+                n >>= width * z
+                k += 2 * z
+                continue
             if d >= half:
                 d -= mask + 1
-            if d:
-                terms[k] = d
+            terms[k] = d
             n = (n - d) >> width
             k += 2
     out = FormalScalar.__new__(FormalScalar)

@@ -96,22 +96,23 @@ class QuantumSeed:
         c = tuple(int(x) for x in c)
         if len(c) != self.model.m:
             raise SeedError("exponent length mismatch")
-        return self._frame_product(c, 0)
+        half, factors = self._frame_factors(c, 0)
+        out = self.torus.q(half)
+        for x, ci in factors:
+            out = out * (x ** ci)
+        return out
 
-    def _frame_product(self, c, half: int) -> ToricElement:
-        """q^(half/2) times the frame monomial at c: the central power joins
-        the normal-ordering power, so the product is relabelled once."""
+    def _frame_factors(self, c, half: int):
+        """q^(half/2) times the frame monomial at c as one product
+        (half', ((x_i, c_i), ...)) in the form ``div_right`` takes: the
+        central power joins the normal-ordering power."""
         for i in range(len(c)):
             if not c[i]:
                 continue
             for j in range(i + 1, len(c)):
                 if c[j]:
                     half += c[i] * c[j] * self.lam[j][i]
-        out = self.torus.q(half)
-        for i, ci in enumerate(c):
-            if ci:
-                out = out * (self.vars[i] ** ci)
-        return out
+        return half, tuple((self.vars[i], ci) for i, ci in enumerate(c) if ci)
 
     def cluster_monomial(self, c) -> ToricElement:
         """frame_monomial restricted to the quantum cluster monomial cone."""
@@ -130,9 +131,10 @@ class QuantumSeed:
         vpos = tuple(max(0, -b) if i != k0 else 0 for i, b in enumerate(bcol))
         wpos = tuple(max(0, b) if i != k0 else 0 for i, b in enumerate(bcol))
         ek = tuple(1 if i == k0 else 0 for i in range(m))
-        rhs = (self._frame_product(vpos, self.pairing(vpos, ek))
-               + self._frame_product(wpos, self.pairing(wpos, ek)))
-        new_var = div_right(rhs, self.vars[k0])
+        # the exchange numerator goes to the division as its two products
+        new_var = div_right([self._frame_factors(vpos, self.pairing(vpos, ek)),
+                             self._frame_factors(wpos, self.pairing(wpos, ek))],
+                            self.vars[k0])
         lam2, bt2 = mutate_matrices(self.lam, self.btilde, k)
         if check_compatible(lam2, bt2) != self.d:
             raise SeedError("mutation broke the compatible pair")

@@ -50,10 +50,13 @@ def reference_mul(x, y):
     return {g: c for g, c in out.items() if c}
 
 
-@given(st.integers(-40, 40), st.lists(st.integers(-BIG, BIG), max_size=30),
+@given(st.integers(-40, 40),
+       st.lists(st.one_of(st.just(0), st.integers(-BIG, BIG)), max_size=30),
        st.integers(1, 300))
 @settings(max_examples=100, deadline=None)
 def test_pack_round_trip(lo, digits, extra):
+    """Round trip, also across runs of zero digits, which unpack skips in
+    one step."""
     s = FormalScalar({lo + i: c for i, c in enumerate(digits)})
     if not s:
         return
@@ -81,6 +84,33 @@ def test_square_matches_general_product(name, data):
     T = TORI[name]
     x = data.draw(elements(T))
     assert (x * x).terms == (x * ToricElement(T, dict(x.terms))).terms == reference_mul(x, x)
+
+
+def test_merged_square_pairs():
+    """The square adds each unordered pair {X^e, X^f} once, as
+    n + (n << W*|L(e, f)|) at the lower twist.  Pairs with L(e, f) = 0, odd
+    and even L(e, f), both parities in one coefficient, and a cross pair
+    that partly cancels the diagonal pair landing on the same exponent."""
+    T = TORI["kronecker"]
+    e0, e1, e2, e3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, 0, 0, 0)
+    assert monomial_mul(T, e0, e1)[0] == FormalScalar({0: 1})      # L = 0
+    assert monomial_mul(T, e0, e2)[0] == FormalScalar({-1: 1})     # L odd
+    h, d = e0, e2    # (h + d) + (h - d) = 2h, with L(h + d, h - d) = 2L(d, h) = 2
+    plus, minus = tuple(map(sum, zip(h, d))), tuple(a - b for a, b in zip(h, d))
+    assert monomial_mul(T, plus, minus)[0] == FormalScalar({2: 1})
+    t = FormalScalar
+    cases = [
+        {e0: t({0: 1, 1: -2}), e1: t({3: 5})},
+        {e0: t({0: 1}), e2: t({-1: 3, 2: -1})},
+        {e0: t({0: 1, 1: 1}), e2: t({0: -1, 1: 1}), e3: t({4: 2})},
+        # ab(t^2 + t^-2) at X^(2h) partly cancels c^2 = t^-2 + 2 + t^2
+        {plus: t({0: 1}), minus: t({0: -1}), h: t({-1: 1, 1: 1})},
+    ]
+    for terms in cases:
+        x = ToricElement(T, terms)
+        assert (x * x).terms == reference_mul(x, x)
+    x = ToricElement(T, cases[-1])
+    assert (x * x).terms[tuple(2 * a for a in h)] == FormalScalar({0: 2})
 
 
 def reference_power(x, n):
@@ -120,6 +150,68 @@ def test_div_right_inverts_product(name, data):
     c = data.draw(elements(T))
     b = data.draw(elements(T).filter(bool))
     assert div_right(c * b, b) == c
+
+
+def reference_product(T, half, factors):
+    """q^(half/2) * x_1^p_1 * ... by reference_mul, one factor at a time."""
+    out = T.q(half)
+    for x, power in factors:
+        for _ in range(abs(power)):
+            out = ToricElement(T, reference_mul(out, x if power > 0 else x.inverse()))
+    return out
+
+
+def reference_numerator(T, products):
+    out = T.zero()
+    for half, factors in products:
+        out = out + reference_product(T, half, factors)
+    return out
+
+
+def single_terms(T):
+    return st.builds(lambda e, k, c: T.monomial(e, FormalScalar({k: c})),
+                     st.tuples(*[st.integers(-2, 2)] * T.m), st.integers(-9, 9),
+                     st.sampled_from([1, -1, 2, -3]))
+
+
+def numerator_products(T, b):
+    """Pairs (product, quotient) with product = quotient * b: products
+    (half, factors) ending in b or b^2, whose other factors are single terms
+    (unit ones also to the power -1) and general elements to a power from 0
+    to 3 (a square, then a product); and plain elements c*b with mixed
+    signs, whose l1 can cancel, as the one product (0, ((c*b, 1),))."""
+    factor = st.one_of(
+        st.tuples(single_terms(T), st.integers(1, 2)),
+        st.tuples(single_terms(T).filter(_is_unit), st.just(-1)),
+        st.tuples(elements(T, max_terms=3).filter(bool), st.integers(0, 3)))
+    general = st.builds(
+        lambda half, fs, p: ((half, (*fs, (b, p))), reference_product(T, half, (*fs, (b, p - 1)))),
+        st.integers(-6, 6), st.lists(factor, max_size=3), st.integers(1, 2))
+    plain = elements(T, max_terms=3).map(
+        lambda c: ((0, ((ToricElement(T, reference_mul(c, b)), 1),)), c))
+    return st.lists(st.one_of(general, plain), min_size=1, max_size=3)
+
+
+def _is_unit(x):
+    (s,) = x.terms.values()
+    return abs(next(iter(s.terms.values()))) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_list_numerator_matches_reference(name, data):
+    """div_right of a numerator given as products builds it packed, at one
+    width for the whole division; the same numerator built term by term
+    divides to the same quotient, the sum of the known quotients."""
+    T = TORI[name]
+    b = data.draw(elements(T, max_terms=3).filter(bool))
+    pairs = data.draw(numerator_products(T, b))
+    products = [product for product, _quotient in pairs]
+    expected = T.zero()
+    for _product, quotient in pairs:
+        expected = expected + quotient
+    assert div_right(products, b) == div_right(reference_numerator(T, products), b) == expected
 
 
 def long_div(s, d):
@@ -167,7 +259,9 @@ def test_division_widens_partway(monkeypatch):
     and l1(c) = 9M + 1.  The guard holds through x^6, M x^4 and 2M x^3 and
     fires at 3M x^2, when the quotient's l1 reaches 6M + 1 and the bound
     7M + 1 needs one more bit; the remainder M(1 + 2x + 3x^2)*b still has
-    four entries then."""
+    four entries then.  Given as a product list with q*y*b added, for
+    y = X^(0,0,1,0), a keeps its exact bounds: W starts at
+    bit_length((M + 1) + ceil((6M + 4)/2)) + 1 and doubles once."""
     T = TORI["kronecker"]
     calls = []
     repack = torus_mod._repack
@@ -192,6 +286,11 @@ def test_division_widens_partway(monkeypatch):
     assert width == (4 * M + 1).bit_length() + 1 < new_width == 2 * width
     assert (7 * M + 1).bit_length() + 1 > width
     assert left == 4   # a less (x^6 + M x^4 + 2M x^3)*b
+    calls.clear()
+    y = T.monomial((0, 0, 1, 0))
+    assert div_right([(0, ((a, 1),)), (2, ((y, 1), (b, 1)))], b) == c + T.q(2) * y
+    width = (4 * M + 3).bit_length() + 1
+    assert [call[1:] for call in calls] == [(width, 2 * width)]
 
 
 def small_elements(T):

@@ -10,8 +10,11 @@ import hashlib
 
 import pytest
 
+from test_formal_kernel import _count_calls, reference_numerator
+
 from qcluster import catalog, cli, torus
 from qcluster.seeds import QuantumSeed
+from qcluster.torus import div_right
 
 # (quiver, --seq, SHA-256 of the formal stdout, {p: SHA-256 of the stdout of
 # --prime p}): three rounds through every mutable direction in order
@@ -117,6 +120,48 @@ def test_mutate_never_widens_a_division(monkeypatch):
         for k in seq:
             seed = seed.mutate(k)
     assert calls == []
+
+
+def exchange_products(seed, k):
+    """The two products of the exchange numerator of direction k, as
+    ``QuantumSeed.mutate`` passes them to div_right."""
+    k0 = k - 1
+    m = seed.model.m
+    bcol = [seed.btilde[i][k0] for i in range(m)]
+    ek = tuple(1 if i == k0 else 0 for i in range(m))
+    out = []
+    for sign in (-1, 1):
+        c = tuple(max(0, sign * b) if i != k0 else 0 for i, b in enumerate(bcol))
+        out.append(seed._frame_factors(c, seed.pairing(c, ek)))
+    return out
+
+
+@pytest.mark.parametrize("name, seq", [pin[:2] for pin in MUTATE_PINS],
+                         ids=[pin[0] for pin in MUTATE_PINS])
+def test_mutate_matches_reference_numerator(name, seq):
+    """Each new variable is the numerator built term by term (reference_mul)
+    divided by the old one, along every pinned sequence."""
+    seed = QuantumSeed.initial(catalog.get(name).model)
+    for k in map(int, seq.split(",")):
+        numerator = reference_numerator(seed.torus, exchange_products(seed, k))
+        old = seed.vars[k - 1]
+        seed = seed.mutate(k)
+        assert seed.vars[k - 1] == div_right(numerator, old)
+
+
+def test_mutate_codec_calls_are_pinned(monkeypatch):
+    """The 13-step alternating Kronecker walk packs each factor and divisor
+    coefficient once per step and decodes one leading coefficient per
+    quotient term, and nothing else: 675 pack and 468 unpack calls, where
+    decoding each square and packing it again took 2,469 and 1,780."""
+    calls = _count_calls(monkeypatch)
+    seed = QuantumSeed.initial(catalog.get("kronecker").model)
+    quotient_terms = 0
+    for i in range(13):
+        seed = seed.mutate(1 + i % 2)
+        quotient_terms += len(seed.vars[i % 2].terms)
+    assert (calls.count("pack"), calls.count("unpack")) == (675, 468)
+    assert calls.count("unpack") == quotient_terms
 
 
 SPECIALIZED_MUTATE_PINS = [(name, seq, p, digest) for name, seq, _digest, by_prime in MUTATE_PINS

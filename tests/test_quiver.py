@@ -131,6 +131,21 @@ def test_kronecker_golden_matrices():
             assert ex.btilde[i][j] == ex.rtilde_tr[i][j] - ex.rtilde[i][j]
 
 
+def test_matrix_vector_products():
+    """ir_vec multiplies by the stored itilde - rtilde, and btilde_vec by
+    btilde, entry by entry."""
+    ex = build_matrices(KRONECKER)
+    assert ex.ir == ((1, 0), (-2, 1), (0, 0), (0, 0))
+    for name in catalog.NAMES:
+        ex = catalog.get(name).model.exch
+        for mv in product(range(-1, 3), repeat=ex.n):
+            assert ex.ir_vec(mv) == tuple(
+                sum((ex.itilde[i][j] - ex.rtilde[i][j]) * mv[j] for j in range(ex.n))
+                for i in range(ex.m))
+            assert ex.btilde_vec(mv) == tuple(
+                sum(ex.btilde[i][j] * mv[j] for j in range(ex.n)) for i in range(ex.m))
+
+
 def test_arrowless_quiver_matrices():
     q = standard_framing(IceQuiver(2, 2, []))
     ex = build_matrices(q)

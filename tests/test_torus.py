@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qcluster import catalog
-from qcluster.scalars import FORMAL, ModeError, SpecializedMode, qpow
+from qcluster.scalars import FORMAL, ModeError, SpecializedMode, SpecScalar, qpow
 from qcluster.seeds import QuantumSeed
 from qcluster.torus import (
     NonLaurentError,
@@ -163,6 +164,56 @@ def test_div_right_nonlaurent(T):
 def test_div_right_leading_not_divisible(T):
     with pytest.raises(NonLaurentError, match="leading coefficient not divisible"):
         div_right(T.one(), 2 * T.one())
+
+
+def general_loop(x, y):
+    """x*y at q = p term by term: one monomial_mul and two scalar products
+    per pair of terms, as the product does when neither factor is a single
+    term."""
+    out = {}
+    for e, ce in x.terms.items():
+        for f, cf in y.terms.items():
+            tw, g = monomial_mul(x.torus, e, f)
+            c = ce * cf * tw
+            out[g] = out[g] + c if g in out else c
+    return {g: c for g, c in out.items() if c}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_specialized_single_term_factor_is_relabelled(monkeypatch, p):
+    """At q = p a product with a single-term factor c*X^e relabels the other
+    factor: one scalar product per term once c*q^(tw/2) is formed for each
+    twist tw, and the same element as the general loop."""
+    Ts = Torus(KRON_LAM, SpecializedMode(p))
+    for k in range(-30, 31):
+        Ts.mode.qpow(k)    # warm the shared q-power cache
+    rng = random.Random(p)
+
+    def scalar():
+        return SpecScalar(p, Fraction(rng.randint(-9, 9), rng.choice([1, 2, p])),
+                          rng.choice([0, rng.randint(-3, 3)])) or Ts.mode.one()
+
+    def exponent():
+        return tuple(rng.randint(-2, 2) for _ in range(4))
+
+    products = []
+    real_mul = SpecScalar.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    for _ in range(40):
+        x = ToricElement(Ts, {exponent(): scalar() for _ in range(rng.randint(0, 6))})
+        term = Ts.monomial(exponent(), scalar())
+        twists = {pairing(KRON_LAM, f, term.support()[0]) for f in x.terms}
+        for left, right in ((x, term), (term, x)):
+            monkeypatch.setattr(SpecScalar, "__mul__", counting_mul)
+            product = left * right
+            monkeypatch.setattr(SpecScalar, "__mul__", real_mul)
+            assert product.terms == general_loop(left, right)
+            assert len(products) == len(x.terms) + len(twists)
+            products.clear()
 
 
 def test_render_canonical(T):
