@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 
 from . import catalog, harness
 from . import rep as R
@@ -354,7 +354,9 @@ def at_least(low: int):
     return parse
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="qcluster",
         description="Exact computations in quantum cluster algebras of acyclic "

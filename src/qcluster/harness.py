@@ -14,7 +14,7 @@ from . import rep as R
 from .ccmap import (ClusterObject, cc_map, cc_map_formal, extended_coreflect,
                     generic_variable)
 from .hall import dim_vectors_upto
-from .quiver import ClusterModel, build_matrices, verify_lemma_bilinear
+from .quiver import ClusterModel, ExchangeData, verify_lemma_bilinear
 from .scalars import FORMAL, SpecializedMode
 from .seeds import QuantumSeed, mutate_matrices, standard_monomial
 from .torus import ToricElement
@@ -206,27 +206,26 @@ def sweep_green(name: str, p: int = 3):
 # helpers shared by the one-dimensional multiplication checks
 
 
-def decompose_injective(I):
-    """Socle multiplicities {j: s_j} with sum s_j I_j = I (verified on dims):
-    the top decomposition of the dual over the opposite quiver."""
-    try:
-        return decompose_projective(R.op_rep(I))
-    except R.RepError:
-        raise R.RepError("module is not injective; socle decomposition fails") from None
-
-
 def decompose_projective(P):
-    """Top multiplicities {j: t_j} with sum t_j P_j = P (verified on dims)."""
-    q = P.quiver
-    tops = R.top_dims(P)
-    out = {v + 1: t for v, t in enumerate(tops) if t}
-    total = [0] * q.m
-    for j, t in out.items():
-        dv = R.proj_dim_vector(q, j)
-        total = [a + t * b for a, b in zip(total, dv)]
-    if tuple(total) != P.dims:
-        raise R.RepError("module is not projective; top decomposition fails")
-    return out
+    """Multiplicities {j: t_j} with sum t_j P_j = P, read off tau_split."""
+    rest, mults = R.tau_split(P)
+    if not rest.is_zero():
+        raise R.RepError("module is not projective")
+    return mults
+
+
+def decompose_injective(I):
+    """Multiplicities {j: s_j} with sum s_j I_j = I, read off tau_inverse_split."""
+    rest, mults = R.tau_inverse_split(I)
+    if not rest.is_zero():
+        raise R.RepError("module is not injective")
+    return mults
+
+
+def _sum_of(build, quiver, p, mults):
+    """The direct sum of mults[j] copies of build(quiver, p, j) over j."""
+    copies = [build(quiver, p, j) for j, c in mults.items() for _ in range(c)]
+    return R.direct_sum(R.zero_rep(quiver, p), *copies)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +248,11 @@ def verify_onedim(name: str, M, N, p: int) -> VerifyReport:
     Nf = R.extend_to(N, framed)
     if store.ext(M, N) != 1:
         return VerifyReport("thm3.5", inputs, verdict="skip", detail="ext(M,N) != 1")
-    # split M = M' + P0 with P0 projective; the translate sees only M'
-    proj_candidates = [R.projective(framed, p, j) for j in range(1, framed.m + 1)]
-    pcounts, mprime = R.split_summands(Mf, proj_candidates)
-    p0 = R.direct_sum(R.zero_rep(framed, p),
-                      *[P for P, c in zip(proj_candidates, pcounts) for _ in range(c)])
-    if mprime.is_zero():
+    # M = M' + P0 with P0 projective; the translate sees only M'
+    tau_m, p0_mults = R.tau_split(Mf)
+    if tau_m.is_zero():
         return VerifyReport("thm3.5", inputs, verdict="skip",
                             detail="M is projective; translate vanishes")
-    tau_m = R.tau(mprime)
     homs = R.hom_basis(Nf, tau_m)
     if len(homs) != 1:
         return VerifyReport("thm3.5", inputs, verdict="skip",
@@ -265,16 +260,12 @@ def verify_onedim(name: str, M, N, p: int) -> VerifyReport:
     f = homs[0]
     d0f, _ = R.kernel(f, Nf)
     coker = R.cokernel(f, tau_m)
-    inj_candidates = [R.injective(framed, p, j) for j in range(1, framed.m + 1)]
-    counts, tau_a = R.split_summands(coker, inj_candidates)
-    inj_shifts = {j + 1: c for j, c in enumerate(counts) if c}
-    ipart = R.direct_sum(R.zero_rep(framed, p),
-                         *[I for I, c in zip(inj_candidates, counts) for _ in range(c)])
-    a_f = R.tau_inverse(tau_a) if not tau_a.is_zero() else tau_a
-    a_f = R.direct_sum(a_f, p0)  # A0 = A + P0
-    # hypothesis Hom(D0, tau A0 + I) = Hom(A0, I) = 0
-    taui = R.direct_sum(tau_a, ipart)
-    if not taui.is_zero() and not d0f.is_zero() and R.hom_dim(d0f, taui):
+    # coker = tau A + I with I injective
+    a_f, inj_shifts = R.tau_inverse_split(coker)
+    ipart = _sum_of(R.injective, framed, p, inj_shifts)
+    a_f = R.direct_sum(a_f, _sum_of(R.projective, framed, p, p0_mults))  # A0 = A + P0
+    # hypothesis Hom(D0, tau A0 + I) = Hom(A0, I) = 0; tau A0 = tau A
+    if not coker.is_zero() and not d0f.is_zero() and R.hom_dim(d0f, coker):
         return VerifyReport("thm3.5", inputs, verdict="skip",
                             detail="Hom(D0, tau A + I) != 0")
     if not ipart.is_zero() and not a_f.is_zero() and R.hom_dim(a_f, ipart):
@@ -946,7 +937,7 @@ def verify_reflection_transport(name: str, v: int, obj: ClusterObject, p: int) -
                             detail="vertex %d is not a framed source" % v)
     lam2, bt2 = mutate_matrices(model.lam, model.exch.btilde, v)
     refl = framed.reflect(v)
-    if build_matrices(refl).btilde != bt2:
+    if ExchangeData(refl).btilde != bt2:
         return VerifyReport("thm4.1", inputs, verdict="fail",
                             detail="one-step mutation is not the reflection")
     model2 = ClusterModel(refl, lam2, name=name + "'")

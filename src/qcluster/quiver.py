@@ -185,10 +185,6 @@ class ExchangeData:
         return tuple(sum(map(mul, row, mv)) for row in self.ir)
 
 
-def build_matrices(quiver: IceQuiver) -> ExchangeData:
-    return ExchangeData(quiver)
-
-
 def standard_framing(principal: IceQuiver) -> IceQuiver:
     """Attach one frozen vertex n+i to each principal vertex i."""
     if principal.m != principal.n:
@@ -379,7 +375,7 @@ class ClusterModel:
 
     def __init__(self, framed: IceQuiver, lam=None, name=None):
         self.quiver = framed
-        self.exch = build_matrices(framed)
+        self.exch = ExchangeData(framed)
         self.lam = tuple(tuple(r) for r in lam) if lam is not None \
             else solve_lambda(self.exch.btilde)
         self.d = check_compatible(self.lam, self.exch.btilde)

@@ -229,17 +229,6 @@ def _automorphisms(walk, M):
             yield flat
 
 
-def hom_elements(basis, M, N):
-    """Every nonzero element of the span of basis in Hom(M, N) as a tuple of
-    vertex blocks, in the itertools.product order of its coefficient vector
-    (the last coefficient moves fastest); ticks hom_elements once per
-    element."""
-    slices = _vertex_slices(M, N)
-    for flat in _hom_walk(basis, M, N):
-        yield tuple(tuple(tuple(flat[start + i * c:start + (i + 1) * c])
-                          for i in range(r)) for start, r, c in slices)
-
-
 def iso_test(M: QuiverRep, N: QuiverRep) -> bool:
     if M.quiver != N.quiver or M.p != N.p:
         return False
@@ -289,7 +278,7 @@ def is_rigid(M):
 
 
 # ---------------------------------------------------------------------------
-# Submodules, quotients, radical
+# Submodules and quotients
 
 
 def submodules(M: QuiverRep, e):
@@ -504,26 +493,6 @@ def direct_sum(first: QuiverRep, *rest: QuiverRep) -> QuiverRep:
     return QuiverRep(first.quiver, first.p, dims, mats)
 
 
-def radical_bases(M: QuiverRep):
-    """Vertexwise bases of rad M = sum of images of the arrow maps."""
-    q = M.quiver
-    out = []
-    for v in range(1, q.m + 1):
-        rows = []
-        for idx, (s, t) in q.arrows_into(v):
-            A = M.mats[idx]
-            for j in range(M.dims[s - 1]):
-                basis_vec = tuple(1 if i == j else 0 for i in range(M.dims[s - 1]))
-                rows.append(modp.mat_vec(A, basis_vec, M.p))
-        out.append(modp.row_span(rows, M.p, M.dims[v - 1]))
-    return tuple(out)
-
-
-def top_dims(M: QuiverRep):
-    rad = radical_bases(M)
-    return tuple(d - len(r) for d, r in zip(M.dims, rad))
-
-
 # ---------------------------------------------------------------------------
 # Paths, projectives, injectives
 
@@ -588,25 +557,25 @@ def coxeter_transform(quiver, dvec):
 # The AR translate
 
 
-def tau(M: QuiverRep) -> QuiverRep:
-    """Auslander-Reiten translate as the Coxeter functor: the sink reflections
-    in reversed topological order, then every arrow map negated, which turns
-    the composite of bgp_reflect's kernel projections into tau.  The simple
-    split off at v counts the copies of P_v in M, so any of them is an error.
+def tau_split(M: QuiverRep):
+    """(tau M', {v: copies of P_v in M}) for M = M' + projectives.
+
+    tau is the Coxeter functor: the sink reflections in reversed topological
+    order, then every arrow map negated, which turns the composite of
+    bgp_reflect's kernel projections into tau.  The reflections before v
+    carry P_v to the simple at v, so the simple that bgp_reflect splits off
+    at v counts the copies of P_v in M (Bernstein-Gelfand-Ponomarev).
     """
     if M.is_zero():
-        return M
+        return M, {}
     out = M
-    summands = []
+    mults = {}
     for v in reversed(M.quiver.topo):
         out, mult = bgp_reflect(out, v)
         if mult:
-            summands.append(v)
-    if summands:
-        raise ProjectiveSummandError(
-            "module has projective summand(s) %s" % sorted(summands))
+            mults[v] = mult
     mats = {idx: [[-x for x in row] for row in mat] for idx, mat in out.mats.items()}
-    return QuiverRep(M.quiver, M.p, out.dims, mats)
+    return QuiverRep(M.quiver, M.p, out.dims, mats), dict(sorted(mults.items()))
 
 
 def op_rep(M: QuiverRep) -> QuiverRep:
@@ -620,66 +589,31 @@ def op_rep(M: QuiverRep) -> QuiverRep:
     return QuiverRep(q.op(), M.p, M.dims, mats)
 
 
-def tau_inverse(M: QuiverRep) -> QuiverRep:
-    """Inverse translate, computed as the dual of tau over the opposite quiver."""
-    if M.is_zero():
-        return M
-    try:
-        out = op_rep(tau(op_rep(M)))
-    except ProjectiveSummandError as exc:
-        raise ProjectiveSummandError(
-            "module has injective summand(s): %s" % exc) from exc
+def tau_inverse_split(M: QuiverRep):
+    """(tau^-1 M', {v: copies of I_v in M}) for M = M' + injectives: the
+    dual of tau_split over the opposite quiver, where I_v is the dual of P_v."""
+    out, mults = tau_split(op_rep(M))
+    out = op_rep(out)
     # rebuild over the original quiver object (op of op keeps arrow order)
-    return QuiverRep(M.quiver, M.p, out.dims, out.mats)
+    return QuiverRep(M.quiver, M.p, out.dims, out.mats), mults
 
 
-def split_complement(M: QuiverRep, X: QuiverRep):
-    """A complement of one split copy of X inside M, or None.
-
-    Walks the sections f: X -> M and looks for a retraction g in Hom(M, X)
-    with g f = id, solved for g's coordinates in hom_basis(M, X); the
-    complement is then the kernel of g.
-    """
-    if X.is_zero() or any(x > d for x, d in zip(X.dims, M.dims)):
-        return None
-    fb = hom_basis(X, M)
-    gb = hom_basis(M, X) if fb else []
-    if not gb:
-        return None
-    p = M.p
-    ident = [x for d in X.dims for row in modp.identity(d) for x in row]
-    for f in hom_elements(fb, X, M):
-        # column k holds the entries of gb[k] f, vertex by vertex
-        cols = [[x for v, d in enumerate(X.dims)
-                 for row in modp.mat_mul_shaped(g[v], f[v], p, d, d) for x in row]
-                for g in gb]
-        coeffs = modp.solve(modp.transpose(cols), ident, p, len(gb))
-        if coeffs is not None:
-            return kernel(combine(coeffs, gb, M, X), M)[0]
-    return None
+def _without_summands(split, kind):
+    out, mults = split
+    if mults:
+        raise ProjectiveSummandError(
+            "module has %s summand(s) %s" % (kind, list(mults)))
+    return out
 
 
-def split_summands(M: QuiverRep, candidates):
-    """Greedily split copies of the candidate reps off M.
+def tau(M: QuiverRep) -> QuiverRep:
+    """Auslander-Reiten translate of a module with no projective summand."""
+    return _without_summands(tau_split(M), "projective")
 
-    Returns (multiplicities, remainder) where multiplicities is a list of
-    counts aligned with candidates.
-    """
-    counts = [0] * len(candidates)
-    rest = M
-    changed = True
-    while changed and not rest.is_zero():
-        changed = False
-        for i, X in enumerate(candidates):
-            if X.is_zero():
-                continue
-            comp = split_complement(rest, X)
-            if comp is not None:
-                rest = comp
-                counts[i] += 1
-                changed = True
-                break
-    return counts, rest
+
+def tau_inverse(M: QuiverRep) -> QuiverRep:
+    """Inverse translate of a module with no injective summand."""
+    return _without_summands(tau_inverse_split(M), "injective")
 
 
 # ---------------------------------------------------------------------------

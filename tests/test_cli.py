@@ -107,6 +107,19 @@ def test_class_stores_are_freed_with_their_call(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    # a parse error, a default and an explicit --seq alternate on one parser
+    parser = cli.build_parser()
+    for _ in range(2):
+        assert run_cli("mutate", "--quiver", "kronecker", "--seq", "x") == 2
+        assert run_cli("mutate", "--quiver", "kronecker") == 0
+        assert "X1 = 1 * X^(1,0,0,0)" in capsys.readouterr().out
+        assert run_cli("mutate", "--quiver", "kronecker", "--seq", "1") == 0
+        assert "X1 = 1 * X^(-1,0,1,0)" in capsys.readouterr().out
+    assert cli.build_parser() is parser
+    assert cli.build_parser().parse_args(["mutate", "--quiver", "a2"]).seq == []
+
+
 def test_mutate_prints_seed(capsys):
     rc = run_cli("mutate", "--quiver", "kronecker", "--seq", "1")
     out = capsys.readouterr().out

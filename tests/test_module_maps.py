@@ -1,23 +1,32 @@
 """Module maps and splitting: kernels and cokernels of Hom-space elements, and
-split_complement / split_summands on direct sums of small iso classes."""
+the projective and injective summands that tau_split and tau_inverse_split
+read off small indecomposables plus random copies of the P_j and I_j."""
+
+import random
 
 import pytest
 
-from qcluster import catalog
+from qcluster import catalog, harness, modp
 from qcluster.hall import dim_vectors_upto
 from qcluster.modp import Budget, mat_vec, rank
 from qcluster.rep import (
+    ProjectiveSummandError,
+    QuiverRep,
+    RepError,
     cokernel,
     combine,
     direct_sum,
-    from_dict,
+    extend_to,
     hom_basis,
+    injective,
     iso_test,
     kernel,
     projective,
     simple,
-    split_complement,
-    split_summands,
+    tau,
+    tau_inverse,
+    tau_inverse_split,
+    tau_split,
 )
 
 
@@ -30,31 +39,66 @@ def small_classes(name, p=3, total=2):
                 for M in store.iso_classes(d)]
 
 
-@pytest.mark.parametrize("name", ["a2", "kronecker"])
-def test_split_complement_of_a_direct_sum(name):
-    classes = small_classes(name)
-    for A in classes:
-        for B in classes:
-            comp = split_complement(direct_sum(A, B), A)
-            assert comp is not None and iso_test(comp, B), (A.dims, B.dims)
+def random_change_of_basis(M, rng):
+    """M with each arrow map A: M_s -> M_t replaced by g_t A g_s^-1 for
+    seeded random invertible g_v, so that no summand sits in a block."""
+    p = M.p
+    gs, invs = [], []
+    for d in M.dims:
+        g = None
+        while g is None or not modp.is_invertible(g, p):
+            g = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
+        gs.append(g)
+        invs.append(modp.transpose([modp.solve(g, e, p, d) for e in modp.identity(d)]))
+    mats = {}
+    for idx, (s, t) in enumerate(M.quiver.arrows):
+        ds, dt = M.dims[s - 1], M.dims[t - 1]
+        moved = modp.mat_mul_shaped(gs[t - 1], M.mats[idx], p, dt, ds)
+        mats[idx] = modp.mat_mul_shaped(moved, invs[s - 1], p, dt, ds)
+    return QuiverRep(M.quiver, p, M.dims, mats)
 
 
-def test_split_complement_of_a_non_summand():
-    q = catalog.get("a2").principal
-    (s, t), = q.arrows
-    M = from_dict(q, 3, {1: 1, 2: 1}, {(s, t): ((1,),)})
-    assert split_complement(M, simple(q, 3, 1)) is None
-    assert split_complement(M, simple(q, 3, 2)) is None
-    assert split_complement(simple(q, 3, 1), M) is None
+def split_sweep():
+    """(quiver, indecomposable X) over the indecomposables of total dimension
+    at most 3 of a2, a3, kronecker and atilde21 at p = 3, each over the
+    principal and the framed quiver."""
+    for name in ("a2", "a3", "kronecker", "atilde21"):
+        entry = catalog.get(name)
+        with Budget():
+            store = catalog.store_for(name, 3)
+            indecs = store.indecomposables(
+                dim_vectors_upto(entry.principal.n, bound_total=3))
+        for X in indecs:
+            yield entry.principal, X
+            yield entry.framed, extend_to(X, entry.framed)
 
 
-def test_split_summands_counts_copies():
-    q = catalog.get("a2").principal
-    s1, s2 = simple(q, 3, 1), simple(q, 3, 2)
-    P = projective(q, 3, q.arrows[0][0])
-    counts, rest = split_summands(direct_sum(direct_sum(s1, P), s1), [s1, s2])
-    assert counts == [2, 0]
-    assert iso_test(rest, P)
+@pytest.mark.parametrize("kind", ["projective", "injective"])
+def test_tau_split_counts_added_copies(kind):
+    # X + sum of random copies of P_j (I_j), in a random basis: the split
+    # reads off the copies, and the translate is tau X (tau^-1 X)
+    build, split, translate, decompose = {
+        "projective": (projective, tau_split, tau, harness.decompose_projective),
+        "injective": (injective, tau_inverse_split, tau_inverse,
+                      harness.decompose_injective),
+    }[kind]
+    rng = random.Random(20)
+    checked = 0
+    for q, X in split_sweep():
+        try:
+            want = translate(X)
+        except ProjectiveSummandError:
+            continue
+        copies = {j: rng.randrange(3) for j in range(1, q.m + 1)}
+        added = [build(q, 3, j) for j, c in copies.items() for _ in range(c)]
+        M = random_change_of_basis(direct_sum(X, *added), rng)
+        rest, mults = split(M)
+        assert mults == {j: c for j, c in copies.items() if c}, (q, X)
+        assert iso_test(rest, want), (q, X)
+        with pytest.raises(RepError):
+            decompose(M)
+        checked += 1
+    assert checked == {"projective": 47, "injective": 38}[kind]
 
 
 def module_maps(name):

@@ -9,12 +9,12 @@ from qcluster import catalog
 from qcluster.quiver import (
     ClusterModel,
     CompatibilityError,
+    ExchangeData,
     IceQuiver,
     LambdaSolveError,
     QuiverError,
     _integer_solve,
     _lex_min,
-    build_matrices,
     check_compatible,
     euler_form,
     solve_lambda,
@@ -120,7 +120,7 @@ FRAMINGS = [
 
 
 def test_kronecker_golden_matrices():
-    ex = build_matrices(KRONECKER)
+    ex = ExchangeData(KRONECKER)
     assert ex.btilde == ((0, 2), (-2, 0), (1, 0), (0, 1))
     assert ex.rtilde == ((0, 0), (2, 0), (0, 0), (0, 0))
     assert ex.rtilde_tr == ((0, 2), (0, 0), (1, 0), (0, 1))
@@ -134,7 +134,7 @@ def test_kronecker_golden_matrices():
 def test_matrix_vector_products():
     """ir_vec multiplies by the stored itilde - rtilde, and btilde_vec by
     btilde, entry by entry."""
-    ex = build_matrices(KRONECKER)
+    ex = ExchangeData(KRONECKER)
     assert ex.ir == ((1, 0), (-2, 1), (0, 0), (0, 0))
     for name in catalog.NAMES:
         ex = catalog.get(name).model.exch
@@ -148,12 +148,12 @@ def test_matrix_vector_products():
 
 def test_arrowless_quiver_matrices():
     q = standard_framing(IceQuiver(2, 2, []))
-    ex = build_matrices(q)
+    ex = ExchangeData(q)
     assert ex.btilde == ((0, 0), (0, 0), (1, 0), (0, 1))
 
 
 def test_a2_matrices_by_hand():
-    ex = build_matrices(A2)
+    ex = ExchangeData(A2)
     assert ex.btilde == ((0, 1), (-1, 0), (1, 0), (0, 1))
     assert ex.r == ((0, 0), (1, 0))
 
@@ -177,7 +177,7 @@ def test_frozen_frozen_warning():
 
 
 def test_solve_lambda_kronecker_is_papers():
-    ex = build_matrices(KRONECKER)
+    ex = ExchangeData(KRONECKER)
     lam = solve_lambda(ex.btilde)
     assert lam == PAPER_LAM
     assert check_compatible(PAPER_LAM, ex.btilde) == (1, 1)
@@ -190,7 +190,7 @@ def test_check_compatible_alternative_pair():
 
 
 def test_check_compatible_rejects_zero():
-    ex = build_matrices(KRONECKER)
+    ex = ExchangeData(KRONECKER)
     zero = tuple((0,) * 4 for _ in range(4))
     with pytest.raises(CompatibilityError):
         check_compatible(zero, ex.btilde)
@@ -199,7 +199,7 @@ def test_check_compatible_rejects_zero():
 def test_solve_lambda_all_framings():
     for pr, name in FRAMINGS:
         fr = standard_framing(pr)
-        ex = build_matrices(fr)
+        ex = ExchangeData(fr)
         lam = solve_lambda(ex.btilde)
         assert lam == CATALOG_LAM[name]
         assert check_compatible(lam, ex.btilde) == (1,) * pr.n
@@ -270,7 +270,7 @@ def test_lex_min_tie_takes_the_nonnegative_value():
 
 
 def test_euler_form_kronecker():
-    ex = build_matrices(KRONECKER)
+    ex = ExchangeData(KRONECKER)
     assert euler_form(ex.r, (1, 0), (1, 0)) == 1
     assert euler_form(ex.r, (0, 1), (0, 1)) == 1
     assert euler_form(ex.r, (1, 0), (0, 1)) == 0

@@ -24,13 +24,12 @@ from qcluster.rep import (
     proj_dim_vector,
     projective,
     quotient_rep,
-    radical_bases,
     simple,
     sub_rep,
     submodules,
     tau,
     tau_inverse,
-    top_dims,
+    tau_split,
     zero_rep,
 )
 
@@ -142,11 +141,9 @@ def test_radical_top():
     p = 3
     proj2 = projective(KRON_FRAMED, p, 2)
     assert proj2.dims == (2, 1, 2, 1)
-    rad = radical_bases(proj2)
-    assert tuple(len(b) for b in rad) == (2, 0, 2, 1)
-    assert top_dims(proj2) == (0, 1, 0, 0)
-    assert top_dims(simple(KRON, p, 1)) == (1, 0)
-    assert radical_bases(simple(KRON, p, 1)) == ((), ())
+    # a projective is its top's copies of the P_v, which tau_split reads off
+    assert tau_split(proj2) == (zero_rep(KRON_FRAMED, p), {2: 1})
+    assert tau_split(simple(KRON, p, 1)) == (zero_rep(KRON, p), {1: 1})
 
 
 def test_projective_injective_shapes():
@@ -162,9 +159,14 @@ def test_tau_a2():
     s2 = simple(A2, p, 2)
     t = tau(s2)
     assert iso_test(t, simple(A2, p, 1))
-    # tau errors on projectives, naming the summand
-    with pytest.raises(ProjectiveSummandError):
+    # tau errors on projectives and tau_inverse on injectives, naming the
+    # summands' vertices once
+    with pytest.raises(ProjectiveSummandError,
+                       match=r"^module has projective summand\(s\) \[1\]$"):
         tau(simple(A2, p, 1))
+    with pytest.raises(ProjectiveSummandError,
+                       match=r"^module has injective summand\(s\) \[1\]$"):
+        tau_inverse(projective(A2, p, 2))
 
 
 def test_tau_inverse_roundtrip():

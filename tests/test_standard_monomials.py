@@ -1,7 +1,8 @@
 """The cached standard-monomial layer: pinned verify output (every verify id
 at its defaults, the all-pairs Hall and Green sweeps under one and two jobs,
-and basis --box 2 on atilde31 and atilde21), equality with the direct
-ordered product, and the closed-form leader that the expansion inverts."""
+the all-pairs thm3.5 and thm3.8 sweeps at p = 2, 3, 5, and basis --box 2 on
+atilde31 and atilde21), equality with the direct ordered product, and the
+closed-form leader that the expansion inverts."""
 
 import hashlib
 from itertools import product
@@ -43,6 +44,19 @@ def test_verify_json_output_is_pinned(capsys, statement, digest):
 ])
 def test_all_pairs_json_output_is_pinned(capsys, statement, digest, jobs):
     rc = cli.main(["--jobs", jobs, "verify", statement, "--all-pairs", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("statement, digest", [
+    ("thm3.5", "d6fcef9e36353ae09c04d875cff4668ebdf6e4feea606b870f1dce4a2754880f"),
+    ("thm3.8", "944e7762a72c5e8b1e59e523609087ab332d9f6d11594a5d6ce7241c0387fd79"),
+])
+def test_all_pairs_split_json_output_is_pinned(capsys, statement, digest):
+    # thm3.5 and thm3.8 split projective and injective summands off each pair
+    rc = cli.main(["--jobs", "1", "verify", statement, "--all-pairs",
+                   "--prime", "2,3,5", "--json"])
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
