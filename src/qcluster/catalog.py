@@ -226,7 +226,9 @@ def homogeneous_points(name: str, p: int):
 
 def tube_module(name: str, p: int, tube_index: int, i: int, length: int):
     """The regular module with quasi-socle the i-th tube simple (1-based) and
-    the given quasi-length, built by iterated nonsplit extensions."""
+    the given quasi-length: the middle term of the nonsplit extension of the
+    top tube simple by the module one shorter, built from the one Ext^1
+    cocycle, so no iso class is enumerated."""
     entry = get(name)
     simples = entry.tube_simples(p, tube_index)
     r = len(simples)
@@ -236,10 +238,9 @@ def tube_module(name: str, p: int, tube_index: int, i: int, length: int):
         return R.zero_rep(entry.principal, p)
     if length == 1:
         return simples[(i - 1) % r]
-    store = store_for(name, p)
     below = tube_module(name, p, tube_index, i, length - 1)
     top = simples[(i - 1 + length - 1) % r]
-    return store.nonsplit_middle(top, below)
+    return R.nonsplit_middle(top, below)
 
 
 @lru_cache(maxsize=None)

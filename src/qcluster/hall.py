@@ -312,26 +312,6 @@ class ClassStore:
         total = sum(self.ext_count(E, M, N) for E in self.middle_terms(M, N))
         return total == self.p ** self.ext(M, N)
 
-    def nonsplit_middle(self, M, N):
-        """The unique middle term of a nonsplit extension of M by N.
-
-        Requires ext(M, N) = 1; asserts uniqueness of the class carrying the
-        nonzero extension classes.
-        """
-        if self.ext(M, N) != 1:
-            raise R.RepError("nonsplit middle requires a one-dimensional ext")
-        split = self.canonical(R.direct_sum(M, N))
-        found = []
-        for E in self.middle_terms(M, N):
-            if E is split or E.key() == split.key():
-                continue
-            if self.ext_count(E, M, N) > 0:
-                found.append(E)
-        if len(found) != 1:
-            raise R.RepError(
-                "expected exactly one nonsplit middle term, found %d" % len(found))
-        return found[0]
-
     def indecomposables(self, dims_list):
         """Indecomposable classes among all classes of the listed dims."""
         out = []

@@ -271,7 +271,7 @@ def verify_onedim(name: str, M, N, p: int) -> VerifyReport:
     if not ipart.is_zero() and not a_f.is_zero() and R.hom_dim(a_f, ipart):
         return VerifyReport("thm3.5", inputs, verdict="skip", detail="Hom(A, I) != 0")
     try:
-        E = store.nonsplit_middle(M, N)
+        E = R.nonsplit_middle(M, N)
     except R.RepError as exc:
         return VerifyReport("thm3.5", inputs, verdict="fail", detail=str(exc))
     d0 = R.restrict_principal(d0f)

@@ -104,56 +104,63 @@ def restrict_principal(rep: QuiverRep) -> QuiverRep:
 # Hom and Ext
 
 
-def hom_basis(M: QuiverRep, N: QuiverRep):
-    """Basis of the intertwiner space, each element a tuple of vertex blocks."""
-    if M.quiver != N.quiver or M.p != N.p:
-        raise RepError("Hom needs matching quiver and prime")
-    p = M.p
-    q = M.quiver
-    offsets = []
-    total = 0
-    for v in range(q.m):
-        offsets.append(total)
-        total += N.dims[v] * M.dims[v]
-    if total == 0:
-        return []
-    rows = []
-    for idx, (s, t) in enumerate(q.arrows):
-        ms, nt = M.dims[s - 1], N.dims[t - 1]
-        if ms == 0 or nt == 0:
-            continue
-        A = M.mats[idx]   # d_t x d_s of M
-        B = N.mats[idx]
-        # equation: phi_t * A - B * phi_s = 0, entry (i,j): i < nt, j < ms
-        for i in range(nt):
-            for j in range(ms):
-                row = [0] * total
-                # phi_t entries: (i, k) k < M.dims[t-1]; coeff A[k][j]
-                for k in range(M.dims[t - 1]):
-                    if A[k][j]:
-                        row[offsets[t - 1] + i * M.dims[t - 1] + k] += A[k][j]
-                # phi_s entries: (k, j) k < N.dims[s-1]; coeff -B[i][k]
-                for k in range(N.dims[s - 1]):
-                    if B[i][k]:
-                        row[offsets[s - 1] + k * M.dims[s - 1] + j] -= B[i][k]
-                if any(x % p for x in row):
-                    rows.append(tuple(x % p for x in row))
-    basis = modp.nullspace(rows, p, total) if rows else [
-        tuple(1 if i == j else 0 for i in range(total)) for j in range(total)]
+def _vertex_slices(M, N):
+    """(start, rows, cols) of each vertex block N_v x M_v inside a module
+    map that is flattened vertex by vertex, each block row-major."""
     out = []
-    for vec in basis:
-        blocks = []
-        for v in range(q.m):
-            r, c = N.dims[v], M.dims[v]
-            block = tuple(tuple(vec[offsets[v] + i * c + j] for j in range(c))
-                          for i in range(r))
-            blocks.append(block)
-        out.append(tuple(blocks))
+    start = 0
+    for r, c in zip(N.dims, M.dims):
+        out.append((start, r, c))
+        start += r * c
     return out
 
 
+def _delta(M: QuiverRep, N: QuiverRep):
+    """(rows, total): the matrix of the map
+    delta: (+)_v Hom(M_v, N_v) -> (+)_a Hom(M_s, N_t), delta(f)_a = N_a f_s - f_t M_a.
+
+    Its kernel is Hom(M, N) and its cokernel Ext^1(M, N) (Ringel,
+    Representations of K-species and bimodules; Crawley-Boevey, Lectures on
+    representations of quivers).  A module map is flattened over total
+    coordinates as _vertex_slices lays it out; a cocycle is flattened arrow by
+    arrow, each N_t x M_s block row-major, with one row of delta per entry."""
+    if M.quiver != N.quiver or M.p != N.p:
+        raise RepError("Hom needs matching quiver and prime")
+    p = M.p
+    slices = _vertex_slices(M, N)
+    total = sum(r * c for _, r, c in slices)
+    rows = []
+    for idx, (s, t) in enumerate(M.quiver.arrows):
+        (off_s, ns, ms), (off_t, nt, mt) = slices[s - 1], slices[t - 1]
+        A = M.mats[idx]   # mt x ms
+        B = N.mats[idx]   # nt x ns
+        for i in range(nt):
+            for j in range(ms):
+                row = [0] * total
+                for k in range(ns):   # (N_a f_s)[i][j] = sum_k B[i][k] f_s[k][j]
+                    row[off_s + k * ms + j] += B[i][k]
+                for k in range(mt):   # (f_t M_a)[i][j] = sum_k f_t[i][k] A[k][j]
+                    row[off_t + i * mt + k] -= A[k][j]
+                rows.append(tuple(x % p for x in row))
+    return rows, total
+
+
+def hom_basis(M: QuiverRep, N: QuiverRep):
+    """Basis of the intertwiner space, each element a tuple of vertex blocks."""
+    rows, total = _delta(M, N)
+    if total == 0:
+        return []
+    basis = modp.nullspace([row for row in rows if any(row)], M.p, total)
+    return [tuple(tuple(tuple(vec[start + i * c:start + (i + 1) * c])
+                        for i in range(r))
+                  for start, r, c in _vertex_slices(M, N))
+            for vec in basis]
+
+
 def hom_dim(M, N) -> int:
-    return len(hom_basis(M, N))
+    """dim Hom(M, N), the nullity of delta."""
+    rows, total = _delta(M, N)
+    return total - modp.rank(rows, M.p)
 
 
 def ext_dim(M, N) -> int:
@@ -164,15 +171,41 @@ def ext_dim(M, N) -> int:
     return val
 
 
-def _vertex_slices(M, N):
-    """(start, rows, cols) of each vertex block N_v x M_v inside a module
-    map that is flattened vertex by vertex, each block row-major."""
-    out = []
-    start = 0
-    for r, c in zip(N.dims, M.dims):
-        out.append((start, r, c))
-        start += r * c
-    return out
+def ext_basis(M, N):
+    """Cocycles whose classes form a basis of Ext^1(M, N), flattened as in
+    _delta: the unit vectors at the coordinates that are not pivots of the
+    reduced image of delta."""
+    rows, _ = _delta(M, N)
+    pivots = set(modp.rref(modp.transpose(rows), M.p, len(rows))[1])
+    return [tuple(int(k == c) for k in range(len(rows)))
+            for c in range(len(rows)) if c not in pivots]
+
+
+def extension(M, N, eta) -> QuiverRep:
+    """The middle term E of the extension 0 -> N -> E -> M -> 0 with cocycle
+    eta (flattened as in _delta): E_v = N_v + M_v and E_a = [[N_a, eta_a],
+    [0, M_a]]."""
+    mats = {}
+    pos = 0
+    for idx, (s, t) in enumerate(M.quiver.arrows):
+        ms, ns = M.dims[s - 1], N.dims[s - 1]
+        top = [tuple(row) + tuple(eta[pos + i * ms:pos + (i + 1) * ms])
+               for i, row in enumerate(N.mats[idx])]
+        pos += len(top) * ms
+        mats[idx] = top + [(0,) * ns + tuple(row) for row in M.mats[idx]]
+    return QuiverRep(M.quiver, M.p, [n + m for n, m in zip(N.dims, M.dims)], mats)
+
+
+def nonsplit_middle(M, N) -> QuiverRep:
+    """The middle term of a nonsplit extension of M by N, which is one
+    module up to isomorphism when Ext^1(M, N) is one-dimensional."""
+    basis = ext_basis(M, N)
+    if len(basis) != ext_dim(M, N):
+        raise RepError("%d Ext^1 cocycles against an Euler-form dimension of %d"
+                       % (len(basis), ext_dim(M, N)))
+    if len(basis) != 1:
+        raise RepError("nonsplit middle requires a one-dimensional ext")
+    return extension(M, N, basis[0])
 
 
 def _hom_walk(basis, M, N):

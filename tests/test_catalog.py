@@ -90,6 +90,25 @@ def test_tube_module_rank3():
     assert any(R.iso_test(R.sub_rep(e13, b), simples[0]) for b in subs)
 
 
+TUBE_STARTS = [pytest.param(name, t, i, id="%s-%d-%d" % (name, t, i))
+               for name in catalog.NAMES
+               for t, tube in enumerate(catalog.get(name).tubes)
+               for i in range(1, len(tube) + 1)]
+
+
+@pytest.mark.parametrize("name, t, i", TUBE_STARTS)
+def test_tube_module_past_the_enumeration_cap(name, t, i):
+    # quasi-length 6 is past what iso-class enumeration reaches; the tube
+    # module is built from Ext^1 cocycles and enumerates no matrix tuple
+    rank = len(catalog.get(name).tubes[t])
+    with Budget(matrix_tuples=0):
+        E = catalog.tube_module(name, 3, t, i, 6)
+        before = catalog.tube_module(name, 3, t, (i - 2) % rank + 1, 6)
+        assert R.is_indecomposable(E)
+        assert R.hom_dim(E, E) == -(-6 // rank)
+        assert R.iso_test(R.tau(E), before)
+
+
 def test_rigid_search():
     m = catalog.find_rigid_module("kronecker", 3, (2, 1))
     assert m is not None and R.is_rigid(m)

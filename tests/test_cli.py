@@ -54,26 +54,36 @@ def test_budget_exit(capsys):
     capsys.readouterr()
 
 
-# the a3 unit of thm3.3 alone enumerates more than 50 matrix tuples; the
-# other statements enumerate iso classes inside the catalog helpers
-BUDGET_CASES = [pytest.param(jobs, "50", "thm3.3", id=jobs) for jobs in ("1", "2")] + [
-    pytest.param(jobs, "1", statement, id="%s-%s" % (jobs, statement))
+# the a3 unit of thm3.3 alone enumerates more than 50 matrix tuples; prop6.1,
+# prop6.2, conj6.4 and basis enumerate iso classes inside the catalog helpers,
+# and lem5.2 walks the submodules of its tube modules
+BUDGET_CASES = [pytest.param(jobs, "--budget-orbits", "50", "thm3.3", id=jobs)
+                for jobs in ("1", "2")] + [
+    pytest.param(jobs, limit, "1", statement, id="%s-%s" % (jobs, statement))
     for jobs in ("1", "2")
-    for statement in ("lem5.2", "prop6.1", "prop6.2", "conj6.4", "basis")]
+    for limit, statement in (("--budget-subspaces", "lem5.2"),
+                             ("--budget-orbits", "prop6.1"),
+                             ("--budget-orbits", "prop6.2"),
+                             ("--budget-orbits", "conj6.4"),
+                             ("--budget-orbits", "basis"))]
 
 
-@pytest.mark.parametrize("jobs, orbits, statement", BUDGET_CASES)
-def test_budget_limits_reach_every_job(capsys, jobs, orbits, statement):
-    rc = run_cli("--budget-orbits", orbits, "--jobs", jobs, "verify", statement)
+@pytest.mark.parametrize("jobs, limit, value, statement", BUDGET_CASES)
+def test_budget_limits_reach_every_job(capsys, jobs, limit, value, statement):
+    rc = run_cli(limit, value, "--jobs", jobs, "verify", statement)
     assert rc == 3
     assert "budget exceeded" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_prop45_enumerates_nothing(capsys, jobs):
-    # its rigid objects on a2 and a3 are built from projectives, not enumerated
+# prop4.5's rigid objects on a2 and a3 are built from projectives, and
+# lem5.2's tube modules from Ext^1 cocycles: neither enumerates a class
+@pytest.mark.parametrize("jobs, statement", [
+    pytest.param(jobs, statement, id=jobs if statement == "prop4.5" else
+                 "%s-%s" % (jobs, statement))
+    for jobs in ("1", "2") for statement in ("prop4.5", "lem5.2")])
+def test_prop45_enumerates_nothing(capsys, jobs, statement):
     rc = run_cli("--budget-orbits", "0", "--budget-homs", "0", "--jobs", jobs,
-                 "verify", "prop4.5")
+                 "verify", statement)
     assert rc == 0
     capsys.readouterr()
 

@@ -1,8 +1,9 @@
 """Class-labelled filtration tables: each (E, e) table splits |Gr_e(E)| over
 the (quotient, submodule) class pairs, a wrong class label is caught by the
 iso_test check, and the extension counts read from the tables add up to
-|Ext^1|."""
+|Ext^1| and match the middle terms built from the Ext^1 cocycles."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -74,3 +75,16 @@ def test_ext_sum_check_on_every_sweep_pair():
     assert len(pairs) == 79
     for M, N in pairs:
         assert store.ext_sum_check(M, N), (M, N)
+        # the cocycles of Ext^1(M, N) land in each middle class E as often
+        # as Riedtmann-Peng counts the extensions with middle term E
+        basis = R.ext_basis(M, N)
+        assert len(basis) == store.ext(M, N), (M, N)
+        size = sum(N.dims[t - 1] * M.dims[s - 1] for s, t in M.quiver.arrows)
+        built = Counter()
+        for coeffs in product(range(P), repeat=len(basis)):
+            eta = [sum(c * b[k] for c, b in zip(coeffs, basis)) % P
+                   for k in range(size)]
+            built[store.classify(R.extension(M, N, eta))] += 1
+        counted = {store.classify(E): store.ext_count(E, M, N)
+                   for E in store.middle_terms(M, N)}
+        assert built == {k: v for k, v in counted.items() if v}, (M, N)

@@ -3,7 +3,7 @@ import pytest
 from qcluster.hall import ClassStore, dim_vectors_upto
 from qcluster.modp import Budget
 from qcluster.quiver import IceQuiver
-from qcluster.rep import direct_sum, simple, from_dict
+from qcluster.rep import RepError, direct_sum, simple, from_dict, nonsplit_middle
 from qcluster import modp
 
 KRON = IceQuiver(2, 2, [(2, 1), (2, 1)])
@@ -70,7 +70,7 @@ def test_nonsplit_middle_unique(store):
     s1 = store.canonical(simple(KRON, p, 1))
     r1 = store.canonical(kron_reg(p, 1))
     # ext(R, S1) = 1 and the middle is the projective of dimension (2,1)
-    E = store.nonsplit_middle(r1, s1)
+    E = nonsplit_middle(r1, s1)
     assert E.dims == (2, 1)
     assert store.ext(E, E) == 0
 
@@ -79,10 +79,12 @@ def test_a2_counts():
     st = ClassStore(A2, 3)
     s1 = st.canonical(simple(A2, 3, 1))
     s2 = st.canonical(simple(A2, 3, 2))
-    E = st.nonsplit_middle(s2, s1)
+    E = nonsplit_middle(s2, s1)
     assert E.dims == (1, 1)
     assert st.ext_count(E, s2, s1) == 2  # p - 1 classes
     assert st.ext_sum_check(s2, s1)
+    with pytest.raises(RepError, match="one-dimensional"):
+        nonsplit_middle(s1, s2)  # Ext^1(S1, S2) = 0
 
 
 def test_budget_guard():

@@ -31,7 +31,7 @@ def test_green_single_instance():
     q = catalog.get("a2").principal
     s1 = store.canonical(R.simple(q, 3, 1))
     s2 = store.canonical(R.simple(q, 3, 2))
-    E = store.nonsplit_middle(s2, s1)
+    E = R.nonsplit_middle(s2, s1)
     rep = harness.verify_green("a2", s2, s1, E, store.canonical(R.zero_rep(q, 3)), 3)
     assert rep.verdict == "pass"
 
