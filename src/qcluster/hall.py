@@ -1,13 +1,17 @@
 """Counting layer: isomorphism classes of representations of a fixed dimension
 vector, submodule filtration numbers, and extension-class counts.
 
-The extension count eps^E_{M,N} = |Ext^1(M,N)_E| is obtained from the
-filtration number F^E_{M,N} through the Riedtmann-Peng identity
+The extension counts eps^E_{M,N} = |Ext^1(M,N)_E| of one pair (M, N) are
+read off the cocycles of Ext^1(M, N) by ``ext_table``: each of the p^ext
+cocycles eta in the span of ``rep.ext_basis(M, N)`` gives the middle term
+``rep.extension(M, N, eta)``, whose class is counted.  ``ext_count`` gets
+one count from the filtration number F^E_{M,N} through the Riedtmann-Peng
+identity
 
     eps^E_{M,N} = F^E_{M,N} * |Hom(M,N)| * |Aut M| * |Aut N| / |Aut E|,
 
-whose exactness is asserted, and which is cross-validated in the test suite
-against the identity sum_E eps^E_{M,N} = |Ext^1(M,N)|.
+whose exactness is asserted.  The test suite checks the two routes against
+each other, and ``ext_count`` against sum_E eps^E_{M,N} = |Ext^1(M,N)|.
 """
 
 from __future__ import annotations
@@ -302,6 +306,42 @@ class ClassStore:
         if num % aE:
             raise R.RepError("Riedtmann-Peng division is not exact")
         return num // aE
+
+    def ext_table(self, M, N) -> dict:
+        """{class index in middle_terms(M, N): eps^E_{M,N}} with the zero
+        counts left out, from one walk of the p^ext cocycles eta in the span
+        of rep.ext_basis(M, N), a complement of the coboundaries: each eta
+        counts the class of its middle term rep.extension(M, N, eta).
+
+        Two certificates: the basis has the Euler-form ext many cocycles,
+        and the split class (eta = 0) is reached once, since no other eta
+        of a complement is a coboundary and an extension whose middle term
+        is isomorphic to M + N splits (Miyata)."""
+        basis = R.ext_basis(M, N)
+        if len(basis) != self.ext(M, N):
+            raise R.RepError("%d Ext^1 cocycles against an Euler-form "
+                             "dimension of %d" % (len(basis), self.ext(M, N)))
+        p = self.p
+        size = sum(N.dims[t - 1] * M.dims[s - 1] for s, t in self.quiver.arrows)
+        # modp.odometer raises digit i and wraps every later one, which adds
+        # the sum of basis[i:] to eta
+        tails = []
+        tail = [0] * size
+        for cocycle in reversed(basis):
+            tail = [(x + y) % p for x, y in zip(tail, cocycle)]
+            tails.append(tail)
+        tails.reverse()
+        eta = [0] * size
+        split = self.classify(R.extension(M, N, eta))
+        table = {split: 1}
+        for i in modp.odometer(len(basis), p):
+            eta = [(x + y) % p for x, y in zip(eta, tails[i])]
+            cls = self.classify(R.extension(M, N, eta))
+            table[cls] = table.get(cls, 0) + 1
+        if table[split] != 1:
+            raise R.RepError("the split class of dims %s is reached by %d "
+                             "cocycles, not 1" % (list(M.dims), table[split]))
+        return table
 
     def middle_terms(self, M, N):
         """Iso classes of dimension dim M + dim N (the index set of sum_E)."""

@@ -83,11 +83,11 @@ def verify_hall(name: str, M, N, p: int) -> VerifyReport:
     ir_m = model.exch.ir_vec(M.dims)
     ir_n = model.exch.ir_vec(N.dims)
     tw = -model.pairing(ir_m, ir_n)
+    middles = store.middle_terms(M, N)
+    table = store.ext_table(M, N)
     rhs = torus.zero()
-    for E in store.middle_terms(M, N):
-        eps = store.ext_count(E, M, N)
-        if eps:
-            rhs = rhs + x_of(E) * eps
+    for i in sorted(table):
+        rhs = rhs + x_of(middles[i]) * table[i]
     rhs = torus.q(tw) * rhs
     inputs = "%s p=%d M=%s N=%s" % (name, p, list(M.dims), list(N.dims))
     return _cmp_report("thm3.3", inputs, lhs, rhs)

@@ -1,14 +1,14 @@
 """Class-labelled filtration tables: each (E, e) table splits |Gr_e(E)| over
 the (quotient, submodule) class pairs, a wrong class label is caught by the
-iso_test check, and the extension counts read from the tables add up to
-|Ext^1| and match the middle terms built from the Ext^1 cocycles."""
+iso_test check, the extension counts read from the tables add up to
+|Ext^1|, and they match the counts that ext_table reads off the Ext^1
+cocycles, which thm3.3 uses without any filtration table."""
 
-from collections import Counter
 from itertools import product
 
 import pytest
 
-from qcluster import catalog
+from qcluster import catalog, harness
 from qcluster import rep as R
 from qcluster.hall import ClassStore, dim_vectors_upto
 from qcluster.modp import Budget
@@ -67,24 +67,69 @@ def test_wrong_class_label_raises(monkeypatch):
         store.filtration_count(split, A, B)
 
 
-def test_ext_sum_check_on_every_sweep_pair():
-    store = kronecker_store()
-    classes = sweep_classes(store)
-    pairs = [(M, N) for M in classes for N in classes
-             if all(m + n <= b for m, n, b in zip(M.dims, N.dims, BOUND))]
-    assert len(pairs) == 79
-    for M, N in pairs:
+# all classes within the green bounds, and on the Kronecker quiver within its
+# sweep bounds (2, 2)
+CLASS_BOUNDS = dict(harness.GREEN_BOUNDS, kronecker=harness.SWEEP_BOUNDS["kronecker"])
+# (name, p): the number of pairs the test checks
+SWEEP_PAIRS = {("a2", 2): 21, ("a2", 3): 21, ("a2bare", 2): 21,
+               ("a2bare", 3): 21, ("a3", 2): 67, ("a3", 3): 67,
+               ("kronecker", 2): 62, ("kronecker", 3): 79}
+
+
+@pytest.mark.parametrize("name", ["a2", "a2bare", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_ext_sum_check_on_every_sweep_pair(name, p):
+    """On every ordered pair of classes within CLASS_BOUNDS and every
+    hall_pairs pair of indecomposables within the thm3.3 sweep bounds, the
+    Riedtmann-Peng counts add up to |Ext^1| and ext_table finds the same
+    counts on the Ext^1 cocycles."""
+    store = catalog.store_for(name, p)
+    bounds = CLASS_BOUNDS[name]
+    classes = [M for dims in harness._sweep_dims(name, **bounds)
+               for M in store.iso_classes(dims)]
+    pairs = {(M.key(), N.key()): (M, N)
+             for M, N in harness._bounded_pairs(classes, **bounds)
+             + harness.hall_pairs(name, p, **harness.SWEEP_BOUNDS[name])}
+    assert len(pairs) == SWEEP_PAIRS[name, p]
+    for M, N in pairs.values():
         assert store.ext_sum_check(M, N), (M, N)
-        # the cocycles of Ext^1(M, N) land in each middle class E as often
-        # as Riedtmann-Peng counts the extensions with middle term E
-        basis = R.ext_basis(M, N)
-        assert len(basis) == store.ext(M, N), (M, N)
-        size = sum(N.dims[t - 1] * M.dims[s - 1] for s, t in M.quiver.arrows)
-        built = Counter()
-        for coeffs in product(range(P), repeat=len(basis)):
-            eta = [sum(c * b[k] for c, b in zip(coeffs, basis)) % P
-                   for k in range(size)]
-            built[store.classify(R.extension(M, N, eta))] += 1
         counted = {store.classify(E): store.ext_count(E, M, N)
                    for E in store.middle_terms(M, N)}
-        assert built == {k: v for k, v in counted.items() if v}, (M, N)
+        assert store.ext_table(M, N) == {k: v for k, v in counted.items() if v}, \
+            (M, N)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_thm33_unit_takes_no_riedtmann_peng_route(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("thm3.3 reached the Riedtmann-Peng route")
+
+    monkeypatch.setattr(ClassStore, "filtration_table", refuse)
+    monkeypatch.setattr(R, "aut_count", refuse)
+    reports = harness.STATEMENTS["thm3.3"].unit(name, P, True)
+    assert reports and all(r.verdict == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("doctor", ["coboundary", "dropped"])
+def test_ext_table_certificates(monkeypatch, doctor):
+    """A regular (1, 1) module R has Ext^1(R, R) = F_p and a nonzero
+    coboundary.  Swapping the cocycle for a coboundary puts the split class
+    on all p cocycles; dropping it leaves fewer cocycles than the Euler form
+    counts.  Both raise."""
+    store = kronecker_store()
+    M = next(X for X in store.iso_classes((1, 1)) if store.ext(X, X) == 1)
+    split = store.classify(R.direct_sum(M, M))
+    table = store.ext_table(M, M)
+    assert table[split] == 1 and sum(table.values()) == P
+    rows, _ = R._delta(M, M)
+    coboundary = next(col for col in zip(*rows) if any(col))
+    right = R.ext_basis
+    if doctor == "coboundary":
+        monkeypatch.setattr(R, "ext_basis",
+                            lambda M, N: [coboundary] + right(M, N)[1:])
+        match = "reached by %d cocycles" % P
+    else:
+        monkeypatch.setattr(R, "ext_basis", lambda M, N: right(M, N)[1:])
+        match = "0 Ext.1 cocycles against an Euler-form dimension of 1"
+    with pytest.raises(R.RepError, match=match):
+        store.ext_table(M, M)
