@@ -1,5 +1,5 @@
 """Desk catalog: the bundled quivers, their cluster models, tube data,
-parameter families of regular simples, and rigid-object search.
+the degree-one homogeneous points, and rigid-object search.
 
 All bundled quivers are stored in the orientation module maps act (see
 quiver.py); the tame members carry their non-homogeneous tube bottoms as
@@ -36,7 +36,7 @@ class CatalogError(KeyError):
 
 class CatalogEntry:
     def __init__(self, name, principal, delta=None, tubes=None, epsilon=None,
-                 nonhomog_count=0, lam=None, elambda=None, bare=False):
+                 nonhomog_count=0, lam=None, bare=False):
         self.name = name
         self.principal = principal
         # bare entries have a full-rank exchange matrix and need no framing
@@ -46,7 +46,6 @@ class CatalogEntry:
         self.epsilon = epsilon          # grading form or None
         self.nonhomog_count = nonhomog_count
         self._lam = lam
-        self._elambda = elambda         # callable (p, lam) -> principal rep
         self._model = None
 
     @property
@@ -57,17 +56,6 @@ class CatalogEntry:
 
     def tube_simples(self, p, tube_index):
         return [build(p) for build in self.tubes[tube_index]]
-
-    def e_lambda(self, p, lam):
-        if self._elambda is None:
-            raise ValueError("no parameter family on %s" % self.name)
-        return self._elambda(self.principal, p, lam)
-
-
-def _kron_elambda(q, p, lam):
-    if lam == "inf":
-        return R.from_dict(q, p, {1: 1, 2: 1}, {(2, 1, 0): ((0,),), (2, 1, 1): ((1,),)})
-    return R.from_dict(q, p, {1: 1, 2: 1}, {(2, 1, 0): ((1,),), (2, 1, 1): ((lam,),)})
 
 
 def kron_regular(p, lam, n=1):
@@ -82,24 +70,6 @@ def kron_regular(p, lam, n=1):
     return R.from_dict(q, p, {1: n, 2: n}, {(2, 1, 0): ident, (2, 1, 1): jord})
 
 
-def _cycle_elambda(q, p, lam, edge):
-    """Dimension-one spaces everywhere, identity maps except lam on one edge."""
-    dims = {v: 1 for v in range(1, q.m + 1)}
-    mats = {key: ((lam if key[:2] == edge else 1,),) for key in q.arrow_slots()}
-    return R.from_dict(q, p, dims, mats)
-
-
-def _dtilde4_elambda(q, p, lam):
-    dims = {1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
-    mats = {
-        (1, 3): ((1,), (0,)),
-        (2, 3): ((0,), (1,)),
-        (3, 4): ((1, 1),),
-        (3, 5): ((1, lam),),
-    }
-    return R.from_dict(q, p, dims, mats)
-
-
 @lru_cache(maxsize=None)
 def _kronecker_principal():
     return IceQuiver(2, 2, [(2, 1), (2, 1)])
@@ -111,8 +81,7 @@ def _build_entries():
     kron = _kronecker_principal()
     entries["kronecker"] = CatalogEntry(
         "kronecker", kron, delta=(1, 1), tubes=[], epsilon=(-1, 1),
-        nonhomog_count=0, lam=PAPER_KRONECKER_LAM,
-        elambda=lambda q, p, lam: _kron_elambda(q, p, lam))
+        nonhomog_count=0, lam=PAPER_KRONECKER_LAM)
 
     a2 = IceQuiver(2, 2, [(2, 1)])
     entries["a2"] = CatalogEntry("a2", a2, epsilon=(-1, 1))
@@ -130,8 +99,7 @@ def _build_entries():
             lambda p: R.simple(at21, p, 2),
             lambda p: R.from_dict(at21, p, {1: 1, 3: 1}, {(3, 1): ((1,),)}),
         ]],
-        epsilon=(-3, 1, 2), nonhomog_count=1,
-        elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (3, 1)))
+        epsilon=(-3, 1, 2), nonhomog_count=1)
 
     at12 = IceQuiver(3, 3, [(2, 1), (3, 1), (2, 3)])
     entries["atilde12"] = CatalogEntry(
@@ -140,8 +108,7 @@ def _build_entries():
             lambda p: R.simple(at12, p, 3),
             lambda p: R.from_dict(at12, p, {1: 1, 2: 1}, {(2, 1): ((1,),)}),
         ]],
-        epsilon=(-2, 1, 1), nonhomog_count=1,
-        elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (3, 1)))
+        epsilon=(-2, 1, 1), nonhomog_count=1)
 
     at31 = IceQuiver(4, 4, [(2, 1), (3, 2), (4, 3), (4, 1)])
     entries["atilde31"] = CatalogEntry(
@@ -151,8 +118,7 @@ def _build_entries():
             lambda p: R.simple(at31, p, 3),
             lambda p: R.from_dict(at31, p, {1: 1, 4: 1}, {(4, 1): ((1,),)}),
         ]],
-        epsilon=(-3, 1, 2, 3), nonhomog_count=1,
-        elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (4, 1)))
+        epsilon=(-3, 1, 2, 3), nonhomog_count=1)
 
     at22 = IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)])
     entries["atilde22"] = CatalogEntry(
@@ -169,8 +135,7 @@ def _build_entries():
                                       {(4, 1): ((1,),), (3, 4): ((1,),)}),
             ],
         ],
-        epsilon=None, nonhomog_count=2,
-        elambda=lambda q, p, lam: _cycle_elambda(q, p, lam, (3, 4)))
+        epsilon=None, nonhomog_count=2)
 
     dt4 = IceQuiver(5, 5, [(1, 3), (2, 3), (3, 4), (3, 5)])
     entries["dtilde4"] = CatalogEntry(
@@ -181,8 +146,7 @@ def _build_entries():
                                   {(1, 3): ((1,),), (2, 3): ((1,),),
                                    (3, 4): ((1,),), (3, 5): ((1,),)}),
         ]],
-        epsilon=None, nonhomog_count=3,
-        elambda=lambda q, p, lam: _dtilde4_elambda(q, p, lam))
+        epsilon=None, nonhomog_count=3)
 
     return entries
 

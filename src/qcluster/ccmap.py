@@ -47,7 +47,7 @@ def _checked_shifts(model: ClusterModel, obj: ClusterObject) -> dict:
 def _module_vector(model: ClusterModel, module) -> tuple:
     if module is None:
         return (0,) * model.n
-    if module.quiver != model.quiver.principal():
+    if module.quiver != model.principal:
         raise CCError("module is not over the model's principal quiver")
     return module.dims
 
@@ -110,16 +110,6 @@ def cc_delta(name: str, p: int) -> ToricElement:
         if first != second:
             raise CCError("map is not constant on homogeneous points; bug")
     return first
-
-
-def e_lambda_checked(name: str, p: int, lam):
-    """The parameter family member, validated to be a degree-one homogeneous
-    regular simple; raises on the non-homogeneous parameter values."""
-    M = catalog.get(name).e_lambda(p, lam)
-    if not (R.hom_dim(M, M) == 1 and R.is_indecomposable(M)
-            and R.iso_test(R.tau(M), M)):
-        raise ValueError("parameter %r is not a degree-one homogeneous point" % (lam,))
-    return M
 
 
 class GenericVariableError(ValueError):

@@ -164,6 +164,14 @@ def load_rep(args, prime=None):
     return obj, framed
 
 
+def module_only(obj, path: str):
+    """obj, unless the file at path holds a family, which has no prime."""
+    if isinstance(obj, RepFamily):
+        raise InputError("%s is a family file; this command needs a "
+                         "representation over a prime" % path)
+    return obj
+
+
 def budget_limits(args) -> dict:
     """The Budget limits that the --budget-* options set."""
     return dict(subspace_tuples=args.budget_subspaces,
@@ -218,16 +226,22 @@ def cmd_grass(args) -> int:
 def cmd_hall(args) -> int:
     name = args.quiver
     store = catalog.store_for(name, args.prime)
-    pm = resolve_rep_path(args.m, name)
-    pn = resolve_rep_path(args.n, name)
-    M, _ = parse_rep(read_text(pm), os.path.dirname(pm), args.prime)
-    N, _ = parse_rep(read_text(pn), os.path.dirname(pn), args.prime)
-    rep = harness.verify_hall(name, store.canonical(M), store.canonical(N), args.prime)
+    pair = []
+    for path in (args.m, args.n):
+        full = resolve_rep_path(path, name)
+        X, _ = parse_rep(read_text(full), os.path.dirname(full), args.prime)
+        module_only(X, path)
+        if X.p != args.prime:
+            raise InputError("%s: module lives over p=%d, asked for %d"
+                             % (path, X.p, args.prime))
+        pair.append(store.canonical(X))
+    rep = harness.verify_hall(name, *pair, args.prime)
     return emit_reports([rep], args.json)
 
 
 def cmd_tau(args) -> int:
     obj, framed = load_rep(args, args.prime)
+    module_only(obj, args.rep)
     if args.framed:
         obj = R.extend_to(obj, framed)
     out = R.tau(obj)
@@ -236,7 +250,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_reflect(args) -> int:
-    obj, _framed = load_rep(args, args.prime)
+    obj = module_only(load_rep(args, args.prime)[0], args.rep)
     v = args.vertex
     if obj.quiver.is_sink(v):
         out, mult = R.bgp_reflect(obj, v)

@@ -4,9 +4,9 @@ vector, submodule filtration numbers, and extension-class counts.
 The extension counts eps^E_{M,N} = |Ext^1(M,N)_E| of one pair (M, N) are
 read off the cocycles of Ext^1(M, N) by ``ext_table``: each of the p^ext
 cocycles eta in the span of ``rep.ext_basis(M, N)`` gives the middle term
-``rep.extension(M, N, eta)``, whose class is counted.  ``ext_count`` gets
-one count from the filtration number F^E_{M,N} through the Riedtmann-Peng
-identity
+``rep.extension(M, N, eta)``, whose class is counted.  Green's formula
+alone takes its counts from ``ext_count``, one at a time, from the
+filtration number F^E_{M,N} through the Riedtmann-Peng identity
 
     eps^E_{M,N} = F^E_{M,N} * |Hom(M,N)| * |Aut M| * |Aut N| / |Aut E|,
 

@@ -161,18 +161,6 @@ def nullspace(A, p, ncols):
     return basis
 
 
-def solve(A, b, p, ncols):
-    """One solution x of A x = b, or None."""
-    aug = [tuple(row) + (bb,) for row, bb in zip(A, b)]
-    R, pivots = rref(aug, p, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][ncols]
-    return tuple(x)
-
-
 def is_invertible(A, p):
     n = len(A)
     if n == 0:

@@ -194,18 +194,6 @@ def standard_framing(principal: IceQuiver) -> IceQuiver:
     return IceQuiver(2 * n, n, arrows)
 
 
-def euler_form(r_matrix, a, b) -> int:
-    """a^T (I - R) b on dimension vectors of the principal quiver."""
-    n = len(r_matrix)
-    total = 0
-    for i in range(n):
-        if not a[i]:
-            continue
-        row = r_matrix[i]
-        total += a[i] * (b[i] - sum(row[j] * b[j] for j in range(n)))
-    return total
-
-
 def euler_form_full(quiver: IceQuiver, a, b) -> int:
     """Euler form over the whole (framed) quiver, length-m vectors:
     sum_v a_v b_v minus a_s b_t for each arrow s -> t."""
@@ -375,6 +363,7 @@ class ClusterModel:
 
     def __init__(self, framed: IceQuiver, lam=None, name=None):
         self.quiver = framed
+        self.principal = framed.principal()
         self.exch = ExchangeData(framed)
         self.lam = tuple(tuple(r) for r in lam) if lam is not None \
             else solve_lambda(self.exch.btilde)
@@ -397,7 +386,7 @@ class ClusterModel:
         return self._tori[key]
 
     def euler(self, a, b) -> int:
-        return euler_form(self.exch.r, a, b)
+        return euler_form_full(self.principal, a, b)
 
     def pairing(self, u, v) -> int:
         return pairing(self.lam, u, v)

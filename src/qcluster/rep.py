@@ -413,61 +413,50 @@ def grassmannian_count(M: QuiverRep, e) -> int:
     return all_grassmannian_counts(M).get(e, 0)
 
 
+def _reduce(vec, basis, p):
+    """(coords, rest) of vec against an RREF basis: the entries of vec at the
+    basis pivots, which are the coordinates of its part in the span, and vec
+    minus that part, which is zero at every pivot."""
+    coords = tuple(vec[row.index(1)] for row in basis)
+    rest = list(vec)
+    for f, row in zip(coords, basis):
+        if f:
+            rest = [(x - f * y) % p for x, y in zip(rest, row)]
+    return coords, rest
+
+
 def sub_rep(M: QuiverRep, bases) -> QuiverRep:
-    """The submodule spanned by the given vertexwise bases as its own rep."""
-    q = M.quiver
+    """The submodule spanned by the given vertexwise RREF bases as its own
+    rep, in the coordinates of those bases."""
     p = M.p
     dims = tuple(len(b) for b in bases)
     mats = {}
-    for idx, (s, t) in enumerate(q.arrows):
-        rows = []
-        A = M.mats[idx]
-        tb = bases[t - 1]
+    for idx, (s, t) in enumerate(M.quiver.arrows):
+        cols = []
         for row in bases[s - 1]:
-            img = modp.mat_vec(A, row, p)
-            coords = modp.solve(modp.transpose(tb), img, p, len(tb)) if tb else None
-            if coords is None:
-                if any(img):
-                    raise RepError("given subspaces are not arrow-closed")
-                coords = ()
-            rows.append(tuple(coords))
-        # rows currently map src-basis to tgt-coords; matrix must be d_t x d_s
-        mats[idx] = modp.transpose(rows) if rows else modp.zeros(dims[t - 1], 0)
-        if not rows:
-            mats[idx] = modp.zeros(dims[t - 1], dims[s - 1])
-    return QuiverRep(q, p, dims, mats)
+            coords, rest = _reduce(modp.mat_vec(M.mats[idx], row, p), bases[t - 1], p)
+            if any(rest):
+                raise RepError("given subspaces are not arrow-closed")
+            cols.append(coords)
+        mats[idx] = modp.transpose(cols) if cols else modp.zeros(dims[t - 1], 0)
+    return QuiverRep(M.quiver, p, dims, mats)
 
 
 def quotient_rep(M: QuiverRep, bases) -> QuiverRep:
-    """The quotient of M by the submodule spanned by the given bases."""
-    q = M.quiver
+    """The quotient of M by the submodule spanned by the given vertexwise RREF
+    bases, on the unit vectors off their pivots."""
     p = M.p
-    proj = []  # per vertex: (complement column indices, reduction rows)
-    for v in range(q.m):
-        rr, piv = modp.rref(bases[v], p, M.dims[v]) if bases[v] else ((), [])
-        comp = [c for c in range(M.dims[v]) if c not in piv]
-        proj.append((rr, piv, comp))
-
-    def reduce_vec(v, vec):
-        rr, piv, comp = proj[v]
-        vec = list(vec)
-        for row, pc in zip(rr, piv):
-            f = vec[pc] % p
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        return tuple(vec[c] for c in comp)
-
-    dims = tuple(len(proj[v][2]) for v in range(q.m))
+    off = [sorted(set(range(d)) - {row.index(1) for row in b})
+           for d, b in zip(M.dims, bases)]
+    dims = tuple(map(len, off))
     mats = {}
-    for idx, (s, t) in enumerate(q.arrows):
-        A = M.mats[idx]
+    for idx, (s, t) in enumerate(M.quiver.arrows):
         cols = []
-        for c in proj[s - 1][2]:
-            basis_vec = tuple(1 if j == c else 0 for j in range(M.dims[s - 1]))
-            img = modp.mat_vec(A, basis_vec, p)
-            cols.append(reduce_vec(t - 1, img))
-        mats[idx] = modp.transpose(cols) if cols else modp.zeros(dims[t - 1], dims[s - 1])
-    return QuiverRep(q, p, dims, mats)
+        for c in off[s - 1]:
+            _, rest = _reduce([row[c] for row in M.mats[idx]], bases[t - 1], p)
+            cols.append(tuple(rest[j] for j in off[t - 1]))
+        mats[idx] = modp.transpose(cols) if cols else modp.zeros(dims[t - 1], 0)
+    return QuiverRep(M.quiver, p, dims, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,6 @@ def test_dtilde4_single_homogeneous_point():
     assert len(pts) == 3 + 1 - 3
 
 
-def test_e_lambda_checked():
-    from qcluster.ccmap import e_lambda_checked
-    m = e_lambda_checked("atilde12", 3, 1)
-    assert m.dims == (1, 1, 1)
-    with pytest.raises(ValueError):
-        e_lambda_checked("atilde12", 3, 0)
-
-
 def test_kron_regular_dims():
     for n in (1, 2, 3):
         assert catalog.kron_regular(5, 2, n).dims == (n, n)

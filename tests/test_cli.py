@@ -260,6 +260,29 @@ def test_hall_rep_over_reordered_quiver_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# tau, reflect and hall need a module over a prime, and a family file has none
+@pytest.mark.parametrize("argv", [
+    ["tau", "--quiver", "kronecker", "--rep", "r1.family"],
+    ["reflect", "--quiver", "kronecker", "--rep", "r1.family", "--vertex", "1"],
+    ["hall", "--quiver", "kronecker", "--m", "r1.family", "--n", "s1.rep"],
+], ids=["tau", "reflect", "hall"])
+def test_family_file_where_a_module_is_needed_exits_2(capsys, argv):
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: r1.family is a family file; this command "
+                            "needs a representation over a prime\n")
+
+
+def test_hall_names_the_prime_a_module_lives_over(capsys):
+    rc = run_cli("hall", "--quiver", "a2", "--m", "s1.rep", "--n", "s2.rep", "--prime", "2")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: s1.rep: module lives over p=3, asked for 2\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_non_prime_in_verify_list_exits_2(capsys, jobs):
     rc = run_cli("--jobs", jobs, "verify", "thm3.3", "--quiver", "a2", "--prime", "4,3")

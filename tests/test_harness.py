@@ -79,11 +79,25 @@ def test_conjecture_object_form_passes():
             assert r.verdict == "neutral-pass"
 
 
-def test_homogeneous_sum():
-    rep = harness.verify_homogeneous_sum("kronecker", 3)
-    assert rep.verdict == "pass"
-    rep = harness.verify_homogeneous_sum("atilde21", 3)
-    assert rep.verdict == "pass"
+# thm5.3 at p = 3 on each tame quiver: verdict, detail and the SHA-256 prefix
+# of "lhs|rhs"; dtilde4 lists one of its three rank-2 tubes, so an extension
+# lands in a class the check does not expect
+HOMOGENEOUS_SUM_PINS = [
+    ("kronecker", "pass", "grouped counts ok; t=0", "fc1fba2852896c57"),
+    ("atilde21", "pass", "grouped counts ok; t=1", "004c8156b4d88cf6"),
+    ("atilde12", "pass", "grouped counts ok; t=1", "3aff6d7ee9d2411a"),
+    ("atilde22", "pass", "grouped counts ok; t=2", "208279f6845bc793"),
+    ("atilde31", "pass", "grouped counts ok; t=1", "9081b519abe7af04"),
+    ("dtilde4", "fail", "unexpected middle class with count 2", "cbe5cfdf7c2118a9"),
+]
+
+
+@pytest.mark.parametrize("name, verdict, detail, digest", HOMOGENEOUS_SUM_PINS,
+                         ids=[pin[0] for pin in HOMOGENEOUS_SUM_PINS])
+def test_homogeneous_sum(name, verdict, detail, digest):
+    rep = harness.verify_homogeneous_sum(name, 3)
+    assert (rep.verdict, rep.detail) == (verdict, detail)
+    assert hashlib.sha256((rep.lhs + "|" + rep.rhs).encode()).hexdigest()[:16] == digest
 
 
 def test_parameter_independence():

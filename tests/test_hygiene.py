@@ -189,3 +189,37 @@ def test_every_traced_call_resolves():
         importlib.import_module("qcluster." + layer)
     # Budget.tick gets a counting wrapper outside SPANS
     assert unresolved({**tracer.SPANS, "budget": [("modp", "Budget.tick")]}) == []
+
+
+def users_of(source: str, name: str):
+    """Qualified names of the functions (or "<module>") that read name, as a
+    plain name or as an attribute."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Name) and child.id == name
+                  or isinstance(child, ast.Attribute) and child.attr == name):
+                out.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+def test_ext_count_user_is_detected():
+    src = ("class S:\n    def ext_sum_check(self):\n        return self.ext_count(1)\n\n"
+           "def f(store):\n    count = store.ext_count\n    return [count(E) for E in ()]\n\n"
+           "def ext_count():\n    pass\n")
+    assert users_of(src, "ext_count") == ["S.ext_sum_check", "f"]
+
+
+# the Riedtmann-Peng counts serve Green's formula and their own sum check;
+# every other extension count reads the cocycles of ClassStore.ext_table
+def test_only_green_and_the_sum_check_use_ext_count():
+    users = [(m, u) for m in MODULES for u in users_of(read(m), "ext_count")]
+    assert users == [("hall.py", "ClassStore.ext_sum_check"),
+                     ("harness.py", "verify_green")]

@@ -49,7 +49,9 @@ def random_change_of_basis(M, rng):
         while g is None or not modp.is_invertible(g, p):
             g = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
         gs.append(g)
-        invs.append(modp.transpose([modp.solve(g, e, p, d) for e in modp.identity(d)]))
+        # the reduced form of (g | I) is (I | g^-1)
+        aug = [row + unit for row, unit in zip(g, modp.identity(d))]
+        invs.append(tuple(row[d:] for row in modp.rref(aug, p, 2 * d)[0]))
     mats = {}
     for idx, (s, t) in enumerate(M.quiver.arrows):
         ds, dt = M.dims[s - 1], M.dims[t - 1]

@@ -16,7 +16,7 @@ from qcluster.quiver import (
     _integer_solve,
     _lex_min,
     check_compatible,
-    euler_form,
+    euler_form_full,
     solve_lambda,
     standard_framing,
     verify_lemma_bilinear,
@@ -270,12 +270,12 @@ def test_lex_min_tie_takes_the_nonnegative_value():
 
 
 def test_euler_form_kronecker():
-    ex = ExchangeData(KRONECKER)
-    assert euler_form(ex.r, (1, 0), (1, 0)) == 1
-    assert euler_form(ex.r, (0, 1), (0, 1)) == 1
-    assert euler_form(ex.r, (1, 0), (0, 1)) == 0
-    assert euler_form(ex.r, (0, 1), (1, 0)) == -2
-    assert euler_form(ex.r, (2, 3), (0, 0)) == 0
+    q = KRONECKER.principal()
+    assert euler_form_full(q, (1, 0), (1, 0)) == 1
+    assert euler_form_full(q, (0, 1), (0, 1)) == 1
+    assert euler_form_full(q, (1, 0), (0, 1)) == 0
+    assert euler_form_full(q, (0, 1), (1, 0)) == -2
+    assert euler_form_full(q, (2, 3), (0, 0)) == 0
 
 
 def test_bilinear_identities_random_sweep():

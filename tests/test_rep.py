@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 
 from qcluster import catalog, modp
 from qcluster.hall import ClassStore, dim_vectors_upto
+from qcluster.modp import Budget
 from qcluster.quiver import IceQuiver, standard_framing
 from qcluster.rep import (
     ProjectiveSummandError,
@@ -135,6 +138,59 @@ def test_sub_quotient():
     assert iso_test(sr, kron_reg(p, 1))
     qr = quotient_rep(r, subs[0])
     assert iso_test(qr, kron_reg(p, 1))
+
+
+def inclusion_and_projection(M, bases):
+    """Per vertex, the inclusion U -> M (the basis rows as columns) and the
+    projection M -> M/U onto the unit vectors off the pivots, which sends
+    each basis row to zero: its pivot column is minus the row off them."""
+    p = M.p
+    incl, proj = [], []
+    for d, rows in zip(M.dims, bases):
+        pivots = [row.index(1) for row in rows]
+        off = [c for c in range(d) if c not in pivots]
+        incl.append(modp.transpose(rows) if rows else modp.zeros(d, 0))
+        cols = [None] * d
+        for c in off:
+            cols[c] = tuple(int(j == c) for j in off)
+        for row, c in zip(rows, pivots):
+            cols[c] = tuple(-row[j] % p for j in off)
+        proj.append(modp.transpose(cols) if cols else ())
+    return incl, proj
+
+
+# every submodule of every class of the pinned iso-class sweep's quivers
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_sub_and_quotient_maps_commute_with_every_arrow(name, p):
+    shaped = modp.mat_mul_shaped
+    with Budget():
+        store = ClassStore(catalog.get(name).principal, p)
+        for dims in dim_vectors_upto(store.quiver.m, bound_total=4):
+            if store.matrix_entry_count(dims) > 8:
+                continue
+            for M in store.iso_classes(dims):
+                for e in product(*(range(d + 1) for d in dims)):
+                    for bases in submodules(M, e):
+                        U, Q = sub_rep(M, bases), quotient_rep(M, bases)
+                        assert U.dims == e
+                        assert tuple(map(sum, zip(U.dims, Q.dims))) == M.dims
+                        incl, proj = inclusion_and_projection(M, bases)
+                        for idx, (s, t) in enumerate(M.quiver.arrows):
+                            m, d = M.dims, Q.dims
+                            assert (shaped(M.mats[idx], incl[s - 1], p, m[t - 1], e[s - 1])
+                                    == shaped(incl[t - 1], U.mats[idx], p, m[t - 1], e[s - 1]))
+                            assert (shaped(Q.mats[idx], proj[s - 1], p, d[t - 1], m[s - 1])
+                                    == shaped(proj[t - 1], M.mats[idx], p, d[t - 1], m[s - 1]))
+
+
+def test_sub_rep_rejects_a_basis_that_is_not_arrow_closed():
+    with pytest.raises(RepError, match="not arrow-closed"):
+        sub_rep(kron_reg(3, 1), ((), ((1,),)))
+    # the image of vertex 2 is e_1 at vertex 1, outside the span of e_2
+    M = from_dict(A2, 3, {1: 2, 2: 1}, {(2, 1): ((1,), (0,))})
+    with pytest.raises(RepError, match="not arrow-closed"):
+        sub_rep(M, (((0, 1),), ((1,),)))
 
 
 def test_radical_top():
