@@ -88,11 +88,6 @@ def cc_map_formal(family: RepFamily | None, shifts, model: ClusterModel) -> Tori
                    ((e, poly_to_scalar(c)) for e, c in polys if c))
 
 
-def shifted_projective(model: ClusterModel, i: int, p: int) -> ToricElement:
-    """X of P_i[1]: the single monomial at the i-th unit vector."""
-    return cc_map(ClusterObject(None, {i: 1}), model, p)
-
-
 def cc_delta(name: str, p: int) -> ToricElement:
     """The common value of the map on degree-one homogeneous regular simples.
 

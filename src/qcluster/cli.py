@@ -16,7 +16,7 @@ from functools import cache, partial
 from . import catalog, harness
 from . import rep as R
 from .ccmap import ClusterObject, cc_map, cc_map_formal
-from .families import RepFamily
+from .families import RepFamily, grassmannian_poly
 from .modp import Budget, BudgetExceededError, is_prime
 from .quiver import IceQuiver, QuiverError
 from .seeds import QuantumSeed
@@ -36,25 +36,17 @@ def read_text(path: str) -> str:
         raise InputError("cannot read %r: %s" % (path, exc.strerror or exc)) from exc
 
 
-def resolve_quiver(spec: str):
-    """A catalog name or a quiver file path -> (name_or_None, framed quiver)."""
+def resolve_quiver(spec: str) -> IceQuiver:
+    """A catalog name or a quiver file path -> its framed quiver."""
     if spec in catalog.ENTRIES:
-        return spec, catalog.get(spec).framed
-    path = spec
-    if not os.path.exists(path):
-        cand = os.path.join(FIXTURE_ROOT, spec, "quiver.txt")
-        if os.path.exists(cand):
-            return spec if spec in catalog.ENTRIES else None, \
-                IceQuiver.from_text(read_text(cand))
+        return catalog.get(spec).framed
+    if not os.path.exists(spec):
         raise InputError("no such quiver: %r" % spec)
-    return None, IceQuiver.from_text(read_text(path))
+    return IceQuiver.from_text(read_text(spec))
 
 
-def resolve_rep_path(path: str, quiver_spec: str | None):
-    if os.path.exists(path):
-        return path
-    if quiver_spec:
-        cand = os.path.join(FIXTURE_ROOT, quiver_spec, path)
+def resolve_rep_path(path: str, quiver_name: str) -> str:
+    for cand in (path, os.path.join(FIXTURE_ROOT, quiver_name, path)):
         if os.path.exists(cand):
             return cand
     raise InputError("no such representation file: %r" % path)
@@ -88,10 +80,10 @@ def parse_rep(text: str, quiver_dir: str | None = None, prime: int | None = None
     qspec = fields.get("quiver")
     if qspec is None:
         raise InputError("header missing quiver=<name-or-file>")
-    _name, framed = resolve_quiver(
-        qspec if os.path.isabs(qspec) or qspec in catalog.ENTRIES
-        else (os.path.join(quiver_dir, qspec) if quiver_dir and
-              os.path.exists(os.path.join(quiver_dir, qspec)) else qspec))
+    # a quiver file (not a catalog name) is looked up beside the rep file first
+    local = os.path.join(quiver_dir or "", qspec)
+    framed = resolve_quiver(qspec if qspec in catalog.ENTRIES or not os.path.exists(local)
+                            else local)
     principal = framed.principal()
     slots = principal.arrow_slots()
 
@@ -158,18 +150,22 @@ def print_rep(rep: R.QuiverRep, quiver_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_rep(args, prime=None):
-    path = resolve_rep_path(args.rep, args.quiver)
-    obj, framed = parse_rep(read_text(path), os.path.dirname(path), prime)
-    return obj, framed
-
-
-def module_only(obj, path: str):
-    """obj, unless the file at path holds a family, which has no prime."""
-    if isinstance(obj, RepFamily):
+def load_rep(args, path: str, family: bool = False):
+    """(module in the file at path, framed quiver of --quiver); a family file
+    only if family is set.  path is tried in the working directory, then in
+    the fixtures of --quiver.  The module must be over --quiver and --prime."""
+    entry = catalog.get(args.quiver)
+    full = resolve_rep_path(path, args.quiver)
+    obj, _framed = parse_rep(read_text(full), os.path.dirname(full), args.prime)
+    if isinstance(obj, RepFamily) and not family:
         raise InputError("%s is a family file; this command needs a "
                          "representation over a prime" % path)
-    return obj
+    if obj.quiver != entry.principal:
+        raise InputError("%s: module is not over quiver %s" % (path, args.quiver))
+    if not isinstance(obj, RepFamily) and obj.p != args.prime:
+        raise InputError("%s: module lives over p=%d, asked for %d"
+                         % (path, obj.p, args.prime))
+    return obj, entry.framed
 
 
 def budget_limits(args) -> dict:
@@ -189,18 +185,16 @@ def emit_reports(reports, as_json: bool) -> int:
 
 
 def cmd_ccmap(args) -> int:
+    obj, _framed = load_rep(args, args.rep, family=True)
     model = catalog.get(args.quiver).model
-    obj, _framed = load_rep(args, args.prime)
     shifts = Counter(args.shift)
-    if isinstance(obj, RepFamily):
-        if not args.formal:
-            obj = obj.instantiate(args.prime)
-            val = cc_map(ClusterObject(obj, shifts), model, args.prime)
-        else:
-            val = cc_map_formal(obj, shifts, model)
-    else:
-        if args.formal:
+    if args.formal:
+        if not isinstance(obj, RepFamily):
             raise InputError("formal mode needs a family file")
+        val = cc_map_formal(obj, shifts, model)
+    else:
+        if isinstance(obj, RepFamily):
+            obj = obj.instantiate(args.prime)
         val = cc_map(ClusterObject(obj, shifts), model, args.prime)
     if args.json:
         terms = [{"exponent": list(e), "coeff": c.render()}
@@ -212,10 +206,9 @@ def cmd_ccmap(args) -> int:
 
 
 def cmd_grass(args) -> int:
-    obj, _framed = load_rep(args, args.prime)
+    obj, _framed = load_rep(args, args.rep, family=True)
     e = tuple(args.e)
     if isinstance(obj, RepFamily):
-        from .families import grassmannian_poly
         coeffs = grassmannian_poly(obj, e)
         print(" + ".join("%d q^%d" % (c, k) for k, c in enumerate(coeffs) if c) or "0")
     else:
@@ -224,33 +217,22 @@ def cmd_grass(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    name = args.quiver
-    store = catalog.store_for(name, args.prime)
-    pair = []
-    for path in (args.m, args.n):
-        full = resolve_rep_path(path, name)
-        X, _ = parse_rep(read_text(full), os.path.dirname(full), args.prime)
-        module_only(X, path)
-        if X.p != args.prime:
-            raise InputError("%s: module lives over p=%d, asked for %d"
-                             % (path, X.p, args.prime))
-        pair.append(store.canonical(X))
-    rep = harness.verify_hall(name, *pair, args.prime)
+    store = catalog.store_for(args.quiver, args.prime)
+    M, N = (store.canonical(load_rep(args, path)[0]) for path in (args.m, args.n))
+    rep = harness.verify_hall(args.quiver, M, N, args.prime)
     return emit_reports([rep], args.json)
 
 
 def cmd_tau(args) -> int:
-    obj, framed = load_rep(args, args.prime)
-    module_only(obj, args.rep)
+    obj, framed = load_rep(args, args.rep)
     if args.framed:
         obj = R.extend_to(obj, framed)
-    out = R.tau(obj)
-    print(print_rep(out, args.quiver), end="")
+    print(print_rep(R.tau(obj), args.quiver), end="")
     return 0
 
 
 def cmd_reflect(args) -> int:
-    obj = module_only(load_rep(args, args.prime)[0], args.rep)
+    obj, _framed = load_rep(args, args.rep)
     v = args.vertex
     if obj.quiver.is_sink(v):
         out, mult = R.bgp_reflect(obj, v)
@@ -384,44 +366,38 @@ def build_parser():
                     help="worker processes for independent verify units")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("ccmap", help="value of the map on a module plus shifts")
-    c.add_argument("--quiver", required=True)
-    c.add_argument("--rep", required=True)
-    c.add_argument("--prime", type=prime, default=3)
+    def module_command(name, help, files=("--rep",)):
+        """A subcommand that reads module files over --quiver at --prime."""
+        c = sub.add_parser(name, help=help)
+        c.add_argument("--quiver", required=True)
+        for option in files:
+            c.add_argument(option, required=True)
+        c.add_argument("--prime", type=prime, default=3)
+        return c
+
+    c = module_command("ccmap", "value of the map on a module plus shifts")
     c.add_argument("--shift", type=int_list, default=[],
                    help="comma list of shifted projective indices")
     c.add_argument("--formal", action="store_true")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_ccmap)
 
-    c = sub.add_parser("grass", help="submodule count at one dimension vector")
-    c.add_argument("--quiver", required=True)
-    c.add_argument("--rep", required=True)
+    c = module_command("grass", "submodule count at one dimension vector")
     c.add_argument("--e", type=int_list, required=True)
-    c.add_argument("--prime", type=prime, default=3)
     c.set_defaults(func=cmd_grass)
 
-    c = sub.add_parser("hall", help="product-expansion identity for one pair")
-    c.add_argument("--quiver", required=True)
-    c.add_argument("--m", required=True)
-    c.add_argument("--n", required=True)
-    c.add_argument("--prime", type=prime, default=3)
+    c = module_command("hall", "product-expansion identity for one pair",
+                       files=("--m", "--n"))
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_hall)
 
-    c = sub.add_parser("tau", help="Auslander-Reiten translate of a module")
-    c.add_argument("--quiver", required=True)
-    c.add_argument("--rep", required=True)
-    c.add_argument("--prime", type=prime, default=3)
+    c = module_command("tau", "Auslander-Reiten translate of a module")
     c.add_argument("--framed", action="store_true",
                    help="translate over the framed quiver")
     c.set_defaults(func=cmd_tau)
 
-    c = sub.add_parser("reflect", help="reflection functor at a sink or source")
-    c.add_argument("--quiver", required=True)
-    c.add_argument("--rep", required=True)
+    c = module_command("reflect", "reflection functor at a sink or source")
     c.add_argument("--vertex", type=int, required=True)
-    c.add_argument("--prime", type=prime, default=3)
     c.set_defaults(func=cmd_reflect)
 
     c = sub.add_parser("mutate", help="mutate the initial seed along a sequence")

@@ -97,7 +97,7 @@ def grassmannian_poly(family: RepFamily, e):
         out.append(int(c))
     while out and out[-1] == 0:
         out.pop()
-    check = sum(c * holdout**k for k, c in enumerate(out))
+    check = eval_poly(out, holdout)
     direct = grassmannian_count(family.instantiate(holdout), e)
     if check != direct:
         raise InterpolationError(

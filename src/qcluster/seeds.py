@@ -10,8 +10,6 @@ q = p by specializing its variables (``ToricElement.specialize``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import catalog
 from .ccmap import ClusterObject, cc_map
 from .quiver import ClusterModel, check_compatible
@@ -202,28 +200,32 @@ class QuantumSeed:
 def standard_monomial(name: str, d, p: int) -> ToricElement:
     """Ordered product over i of X_{S_i}^{d+_i} X_{P_i[1]}^{d-_i}.
 
-    Built from the cached prefix product of d[:-1], so each new entry of a
-    box costs one torus product.  The result is shared between callers and
-    must not be mutated.
+    Built from the memoized prefix product of d[:-1], so each new entry of a
+    box costs one torus product.  The prefixes and factors stay on the class
+    store of (name, p) and are freed with its meter.  The result is shared
+    between callers and must not be mutated.
     """
-    n = catalog.get(name).model.n
-    return _sm_prefix(name, p, tuple(int(d[i]) for i in range(n)))
+    model = catalog.get(name).model
+    d = tuple(int(d[i]) for i in range(model.n))
+    derived = catalog.store_for(name, p).derived
+    prefixes = derived.get("standard_monomials")
+    if prefixes is None:
+        prefixes = derived["standard_monomials"] = {(): model.torus(SpecializedMode(p)).one()}
+    known = len(d)
+    while d[:known] not in prefixes:
+        known -= 1
+    for j in range(known + 1, len(d) + 1):
+        head = prefixes[d[:j - 1]]
+        prefixes[d[:j]] = head if d[j - 1] == 0 else head * _sm_factor(name, p, j, d[j - 1])
+    return prefixes[d]
 
 
-@lru_cache(maxsize=None)
-def _sm_prefix(name: str, p: int, d) -> ToricElement:
-    if not d:
-        return catalog.get(name).model.torus(SpecializedMode(p)).one()
-    head = _sm_prefix(name, p, d[:-1])
-    if d[-1] == 0:
-        return head
-    return head * _sm_factor(name, p, len(d), d[-1])
-
-
-@lru_cache(maxsize=None)
 def _sm_factor(name: str, p: int, i: int, k: int) -> ToricElement:
     """X_{S_i}^k for k > 0 and X_{P_i[1]}^(-k) for k < 0, each power one
-    product from the previous one."""
+    product from the previous one; memoized on the class store of (name, p)."""
+    factors = catalog.store_for(name, p).derived.setdefault("standard_monomial_factors", {})
+    if (i, k) in factors:
+        return factors[i, k]
     entry = catalog.get(name)
     model = entry.model
     if k > 0:
@@ -233,6 +235,5 @@ def _sm_factor(name: str, p: int, i: int, k: int) -> ToricElement:
         e = tuple(1 if j == i - 1 else 0 for j in range(model.m))
         base = model.torus(SpecializedMode(p)).monomial(e)
         step = 1
-    if k + step == 0:
-        return base
-    return _sm_factor(name, p, i, k + step) * base
+    factors[i, k] = base if k + step == 0 else _sm_factor(name, p, i, k + step) * base
+    return factors[i, k]

@@ -252,9 +252,6 @@ class ToricElement:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def coefficient(self, e) -> object:
-        return self.terms.get(tuple(e), self.torus.mode.zero())
-
     def render(self) -> str:
         """Canonical serialization: lex-sorted exponents, '<scalar> * X^(...)'."""
         if not self.terms:

@@ -6,7 +6,7 @@ from qcluster import catalog
 from qcluster import rep as R
 from qcluster.ccmap import (ClusterObject, cc_delta, cc_map, cc_map_formal,
                             extended_coreflect, extended_reflect,
-                            generic_variable, shifted_projective)
+                            generic_variable)
 from qcluster.scalars import SpecializedMode
 
 
@@ -22,7 +22,7 @@ def test_zero_object_maps_to_one(kron):
 
 def test_shifted_projectives_are_units(kron):
     for i in range(1, 5):
-        val = shifted_projective(kron.model, i, 3)
+        val = cc_map(ClusterObject(None, {i: 1}), kron.model, 3)
         e = tuple(1 if k == i - 1 else 0 for k in range(4))
         assert val == kron.model.torus(SpecializedMode(3)).monomial(e)
 

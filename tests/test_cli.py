@@ -256,7 +256,7 @@ def test_hall_rep_over_reordered_quiver_exits_2(tmp_path, capsys):
     rc = run_cli("hall", "--quiver", "a3", "--m", str(path), "--n", "s3.rep")
     err = capsys.readouterr().err
     assert rc == 2
-    assert "error: classify needs a representation over this store's quiver" in err
+    assert "error: %s: module is not over quiver a3\n" % path in err
     assert "Traceback" not in err
 
 
@@ -281,6 +281,54 @@ def test_hall_names_the_prime_a_module_lives_over(capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: s1.rep: module lives over p=3, asked for 2\n"
+
+
+# a module file read under another quiver or prime: each of these printed a
+# value over the file's own quiver or prime with exit 0, or failed deep in
+# the library
+KRON_R1 = os.path.join(FIX, "kronecker", "r1.rep")
+KRON_S1 = os.path.join(FIX, "kronecker", "s1.rep")
+KRON_R2_FAMILY = os.path.join(FIX, "kronecker", "r2.family")
+MISMATCHED_FILES = [
+    (["grass", "--quiver", "kronecker", "--rep", "r2.rep", "--e", "1,0", "--prime", "5"],
+     "r2.rep: module lives over p=3, asked for 5"),
+    (["tau", "--quiver", "a2", "--rep", "s2.rep", "--prime", "2"],
+     "s2.rep: module lives over p=3, asked for 2"),
+    (["tau", "--quiver", "a2", "--rep", KRON_R1],
+     "%s: module is not over quiver a2" % KRON_R1),
+    (["reflect", "--quiver", "a3", "--rep", KRON_S1, "--vertex", "1"],
+     "%s: module is not over quiver a3" % KRON_S1),
+    (["grass", "--quiver", "a2", "--rep", KRON_R2_FAMILY, "--e", "1,0"],
+     "%s: module is not over quiver a2" % KRON_R2_FAMILY),
+    (["ccmap", "--quiver", "a2", "--rep", KRON_R2_FAMILY],
+     "%s: module is not over quiver a2" % KRON_R2_FAMILY),
+    (["ccmap", "--quiver", "a2", "--rep", KRON_R2_FAMILY, "--formal"],
+     "%s: module is not over quiver a2" % KRON_R2_FAMILY),
+    (["ccmap", "--quiver", "a3", "--rep", KRON_R1],
+     "%s: module is not over quiver a3" % KRON_R1),
+    (["hall", "--quiver", "a3", "--m", KRON_R1, "--n", "s3.rep"],
+     "%s: module is not over quiver a3" % KRON_R1),
+]
+
+
+@pytest.mark.parametrize("argv, message", MISMATCHED_FILES,
+                         ids=["grass-prime", "tau-prime", "tau-quiver", "reflect-quiver",
+                              "grass-family-quiver", "ccmap-family-quiver",
+                              "ccmap-formal-quiver", "ccmap-quiver", "hall-quiver"])
+def test_module_file_over_another_quiver_or_prime_exits_2(capsys, argv, message):
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_family_has_no_prime_to_mismatch(capsys):
+    # a family is instantiated at --prime, so any prime reads it
+    rc = run_cli("grass", "--quiver", "kronecker", "--rep", "r2.family",
+                 "--e", "1,0", "--prime", "5")
+    assert rc == 0
+    assert capsys.readouterr().out == "1 q^0 + 1 q^1\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -2,7 +2,9 @@
 no function takes a budget (enumerations tick the active ``modp`` meter), and
 every function and class the package defines is named somewhere else in
 src/, tests/ or bench/, every call the benchmark's tracer wraps exists, and
-the specialized torus path imports nothing from fractions."""
+the specialized torus path imports nothing from fractions; the CLI reads
+module files only through its loader, and only functions that tick no meter
+keep a process-lifetime cache."""
 
 import ast
 import importlib
@@ -223,3 +225,60 @@ def test_only_green_and_the_sum_check_use_ext_count():
     users = [(m, u) for m in MODULES for u in users_of(read(m), "ext_count")]
     assert users == [("hall.py", "ClassStore.ext_sum_check"),
                      ("harness.py", "verify_green")]
+
+
+def test_module_file_reader_is_detected():
+    src = ("def load_rep(args, path):\n    return parse_rep(resolve_rep_path(path))\n\n"
+           "def cmd_hall(args):\n    return cli.parse_rep(read_text(args.m))\n")
+    assert users_of(src, "parse_rep") == ["cmd_hall", "load_rep"]
+    assert users_of(src, "resolve_rep_path") == ["load_rep"]
+
+
+# every command reads its module files through the one loader, which checks
+# the file's quiver and prime against --quiver and --prime
+@pytest.mark.parametrize("name", ["parse_rep", "resolve_rep_path"])
+def test_only_load_rep_reads_module_files_in_the_cli(name):
+    assert users_of(read("cli.py"), name) == ["load_rep"]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def cached_functions(source: str):
+    """Qualified names of the functions that lru_cache or cache decorates,
+    called or not, as a plain name or as an attribute."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if (getattr(target, "id", None) or getattr(target, "attr", None)) \
+                            in CACHE_DECORATORS:
+                        out.append(".".join(inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_cached_function_is_detected():
+    src = ("import functools\nfrom functools import cache, lru_cache\n\n"
+           "@lru_cache(maxsize=None)\ndef a():\n    pass\n\n"
+           "@functools.cache\ndef b():\n    pass\n\n"
+           "class C:\n    @cache\n    def c(self):\n        pass\n\n"
+           "    @staticmethod\n    def d():\n        pass\n\n"
+           "def e():\n    @functools.lru_cache()\n    def f():\n        pass\n")
+    assert cached_functions(src) == ["a", "b", "C.c", "e.f"]
+
+
+# a process-lifetime cache outlives the meter of the call that filled it, so
+# only functions that tick no meter may have one; work that enumerates is
+# memoized on the class store of its call (catalog.store_for)
+def test_only_meter_free_functions_are_cached_for_the_process():
+    cached = sorted("%s.%s" % (m[:-3], f) for m in MODULES for f in cached_functions(read(m)))
+    assert cached == ["catalog._coxeter_period", "catalog._kronecker_principal",
+                      "cli.build_parser", "scalars._spec_qpow"]

@@ -11,6 +11,7 @@ import pytest
 
 from qcluster import catalog, cli, harness
 from qcluster.ccmap import ClusterObject, cc_map, generic_variable
+from qcluster.modp import Budget
 from qcluster.rep import simple
 from qcluster.scalars import SpecializedMode, qpow, specialize
 from qcluster.seeds import standard_monomial
@@ -133,6 +134,19 @@ def test_expansion_reaches_points_outside_any_box(name, d, far):
     coeffs = harness.expand_in_standard_monomials(x, name, 3)
     assert len(coeffs) == 3 and far in coeffs and d in coeffs
     assert all(c.is_p_integral() for u in coeffs.values() for c in u.terms.values())
+
+
+# the memoized prefixes and factors belong to the meter of the call, so a
+# repeated call does the same counted work as the first one
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_repeated_call_ticks_the_same_budget(name):
+    used = []
+    for _ in range(2):
+        with Budget() as meter:
+            harness.verify_standard_monomials(name, 3)
+        used.append(meter.used)
+    assert used[0] == used[1]
+    assert used[0]["subspace_tuples"] > 0
 
 
 def test_failed_table_build_is_not_cached():
