@@ -18,14 +18,6 @@ from .families import RepFamily
 from .hall import ClassStore
 from .quiver import ClusterModel, IceQuiver, euler_form_full, standard_framing
 
-PAPER_KRONECKER_LAM = (
-    (0, 0, -1, 0),
-    (0, 0, 0, -1),
-    (1, 0, 0, -2),
-    (0, 1, 2, 0),
-)
-
-
 class CatalogError(KeyError):
     """A name that the catalog does not hold.  Its str() is the message
     itself, not the repr that KeyError gives."""
@@ -81,7 +73,7 @@ def _build_entries():
     kron = _kronecker_principal()
     entries["kronecker"] = CatalogEntry(
         "kronecker", kron, delta=(1, 1), tubes=[], epsilon=(-1, 1),
-        nonhomog_count=0, lam=PAPER_KRONECKER_LAM)
+        nonhomog_count=0)
 
     a2 = IceQuiver(2, 2, [(2, 1)])
     entries["a2"] = CatalogEntry("a2", a2, epsilon=(-1, 1))
@@ -118,7 +110,16 @@ def _build_entries():
             lambda p: R.simple(at31, p, 3),
             lambda p: R.from_dict(at31, p, {1: 1, 4: 1}, {(4, 1): ((1,),)}),
         ]],
-        epsilon=(-3, 1, 2, 3), nonhomog_count=1)
+        epsilon=(-3, 1, 2, 3), nonhomog_count=1,
+        # pinned verify outputs were computed with this form, not solve_lambda's
+        lam=((0, 1, 0, 1, 1, 0, 0, 0),
+             (-1, 0, 1, 0, 0, 1, 0, 0),
+             (0, -1, 0, 0, -1, 0, 0, 0),
+             (-1, 0, 0, 0, 0, 1, 0, 0),
+             (-1, 0, 1, 0, 0, 2, 0, 0),
+             (0, -1, 0, -1, -2, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0)))
 
     at22 = IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)])
     entries["atilde22"] = CatalogEntry(
@@ -135,7 +136,16 @@ def _build_entries():
                                       {(4, 1): ((1,),), (3, 4): ((1,),)}),
             ],
         ],
-        epsilon=None, nonhomog_count=2)
+        epsilon=None, nonhomog_count=2,
+        # pinned verify outputs were computed with this form, not solve_lambda's
+        lam=((0, -1, 0, 1, -1, 0, 0, 0),
+             (1, 0, 1, 0, 0, -1, 0, 0),
+             (0, -1, 0, 0, -1, 0, 0, 0),
+             (-1, 0, 0, 0, 0, 1, 0, 0),
+             (1, 0, 1, 0, 0, 0, 0, 0),
+             (0, 1, 0, -1, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0)))
 
     dt4 = IceQuiver(5, 5, [(1, 3), (2, 3), (3, 4), (3, 5)])
     entries["dtilde4"] = CatalogEntry(
@@ -146,7 +156,18 @@ def _build_entries():
                                   {(1, 3): ((1,),), (2, 3): ((1,),),
                                    (3, 4): ((1,),), (3, 5): ((1,),)}),
         ]],
-        epsilon=None, nonhomog_count=3)
+        epsilon=None, nonhomog_count=3,
+        # pinned verify outputs were computed with this form, not solve_lambda's
+        lam=((0, 0, 0, 0, 0, -1, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, -1, 0, 0, 0),
+             (0, 0, 0, 0, -1, 0, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0, -1, 0),
+             (0, 0, 1, 0, 0, -1, -1, 0, 1, 0),
+             (1, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+             (0, 1, 0, 0, 1, 0, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+             (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
 
     return entries
 

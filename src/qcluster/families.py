@@ -1,7 +1,7 @@
 """Representation families over the integers and their counting polynomials.
 
 A family is an integer matrix template, optionally containing the symbol L
-for a field parameter; reducing mod p (and choosing L) gives an honest
+for a field parameter; reducing mod p (with L at p - 1) gives an honest
 representation.  Submodule counts of such families are polynomials in the
 field size, recovered by exact Lagrange interpolation over several primes
 and re-checked against a direct count at a held-out prime.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rep import QuiverRep, grassmannian_count
+from .rep import QuiverRep, RepError, grassmannian_count
 from .scalars import FormalScalar
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -27,6 +27,8 @@ class RepFamily:
     def __init__(self, quiver, dims, mats, bad_primes=(), name=None):
         self.quiver = quiver
         self.dims = tuple(int(d) for d in dims)
+        if len(self.dims) != quiver.m or any(d < 0 for d in self.dims):
+            raise RepError("bad dimension vector %r" % (self.dims,))
         self.mats = {}
         for idx in range(len(quiver.arrows)):
             mat = mats.get(idx) if isinstance(mats, dict) else mats[idx]
@@ -37,15 +39,13 @@ class RepFamily:
         self.bad_primes = frozenset(bad_primes)
         self.name = name
 
-    def instantiate(self, p: int, lam=None) -> QuiverRep:
-        """The representation mod p, with the parameter L at lam (default p - 1)."""
+    def instantiate(self, p: int) -> QuiverRep:
+        """The representation mod p, with the parameter L at p - 1."""
         if p in self.bad_primes:
             raise ValueError("prime %d is declared bad for this family" % p)
-        if lam is None:
-            lam = p - 1
         mats = {}
         for idx, mat in self.mats.items():
-            mats[idx] = tuple(tuple((lam if x == "L" else x) % p for x in row)
+            mats[idx] = tuple(tuple((p - 1 if x == "L" else x) % p for x in row)
                               for row in mat)
         return QuiverRep(self.quiver, p, self.dims, mats)
 

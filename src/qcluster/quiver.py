@@ -6,6 +6,9 @@ submodules are the tuples of subspaces closed under those maps.  With this
 convention ext^1(S_i, S_j) counts the arrows i -> j, and the exchange matrix
 entry b_ij is ext^1(S_j, S_i) - ext^1(S_i, S_j).  The bundled fixtures are
 oriented so that the golden exchange data below comes out exactly.
+
+A standard framing's compatible skew form is the closed form ((0, -I), (I, -B))
+of `solve_lambda`; other framings pass their own lam to ClusterModel.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ class QuiverError(ValueError):
 
 
 class CompatibilityError(ValueError):
-    pass
-
-
-class LambdaSolveError(ValueError):
     pass
 
 
@@ -222,140 +221,19 @@ def check_compatible(lam, btilde):
     return tuple(d)
 
 
-def _integer_solve(rows, rhs, nunk):
-    """All integer solutions of rows * x = rhs: (particular, kernel basis).
-
-    Column Hermite-style reduction with a tracked unimodular matrix; raises
-    LambdaSolveError when no integer solution exists.
-    """
-    A = [list(r) for r in rows]
-    k = len(A)
-    U = [[1 if i == j else 0 for j in range(nunk)] for i in range(nunk)]
-
-    def col_addmul(dst, src, f):
-        for i in range(k):
-            A[i][dst] += f * A[i][src]
-        for i in range(nunk):
-            U[i][dst] += f * U[i][src]
-
-    def col_swap(a, b):
-        for i in range(k):
-            A[i][a], A[i][b] = A[i][b], A[i][a]
-        for i in range(nunk):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    def col_neg(a):
-        for i in range(k):
-            A[i][a] = -A[i][a]
-        for i in range(nunk):
-            U[i][a] = -U[i][a]
-
-    col = 0
-    piv = []
-    for row in range(k):
-        while True:
-            nz = [j for j in range(col, nunk) if A[row][j]]
-            if len(nz) <= 1:
-                pivot = nz[0] if nz else None
-                break
-            nz.sort(key=lambda j: abs(A[row][j]))
-            j0, j1 = nz[0], nz[1]
-            col_addmul(j1, j0, -(A[row][j1] // A[row][j0]))
-        if pivot is not None:
-            if pivot != col:
-                col_swap(col, pivot)
-            if A[row][col] < 0:
-                col_neg(col)
-            piv.append((row, col))
-            col += 1
-    y = [0] * nunk
-    for row, c in piv:
-        rhs_val = rhs[row] - sum(A[row][j] * y[j] for j in range(c))
-        if rhs_val % A[row][c]:
-            raise LambdaSolveError("no integer solution")
-        y[c] = rhs_val // A[row][c]
-    for row in range(k):
-        if sum(A[row][j] * y[j] for j in range(nunk)) != rhs[row]:
-            raise LambdaSolveError("inconsistent linear system")
-    x0 = tuple(sum(U[i][j] * y[j] for j in range(nunk)) for i in range(nunk))
-    kernel = [tuple(U[i][j] for i in range(nunk)) for j in range(col, nunk)]
-    return x0, kernel
-
-
-def _lex_min(x0, kernel):
-    """The point of x0 + span(kernel) that is lexicographically smallest under
-    the key (|v|, v < 0) per entry.
-
-    Coordinate by coordinate: Euclid-reduce the remaining basis on coordinate
-    t until one vector g keeps a nonzero entry there, move x to the smallest
-    |x_t| in the coset x_t + g_t Z (nonnegative on a tie), then drop g; the
-    vectors left span the lattice directions that fix coordinates 0..t.
-    """
-    x = list(x0)
-    basis = [list(v) for v in kernel]
-    for t in range(len(x)):
-        live = [v for v in basis if v[t]]
-        while len(live) > 1:
-            live.sort(key=lambda v: abs(v[t]))
-            g = live[0]
-            for v in live[1:]:
-                f = v[t] // g[t]
-                v[:] = [a - f * b for a, b in zip(v, g)]
-            live = [v for v in live if v[t]]
-        if not live:
-            continue
-        g = live[0]
-        r = x[t] % abs(g[t])
-        best = r if 2 * r <= abs(g[t]) else r - abs(g[t])
-        f = (best - x[t]) // g[t]
-        x = [a + f * b for a, b in zip(x, g)]
-        basis = [v for v in basis if v[t] == 0]
-    return tuple(x)
-
-
 def solve_lambda(btilde):
-    """A deterministic skew-symmetric integer lam with lam * (-btilde) = itilde.
-
-    The unknowns are the strictly-lower-triangular entries, and their integer
-    solutions form x0 + span(kernel).  When the kernel has rank r <= 4 the
-    solution returned is the exact lexicographic minimum of the entry vector
-    under (|v|, v < 0), found by `_lex_min`.  For r > 4 the particular
-    solution x0 is returned as it is: the minimum there is a different lam
-    for atilde22, atilde31 and dtilde4, and the pinned lem5.2 digest is
-    computed with the current one.
-    """
+    """The skew form lam = ((0, -I), (I, -B)) of a standard framing btilde =
+    (B over I), so that btilde^T lam = (I | 0); any other btilde (m != 2n, or
+    frozen rows other than I) raises CompatibilityError."""
     m = len(btilde)
     n = len(btilde[0]) if btilde else 0
-    pairs = [(i, j) for i in range(m) for j in range(i)]
-    index = {pr: t for t, pr in enumerate(pairs)}
-    rows = []
-    rhs = []
-    # equations: -(lam * btilde)[i][j] = itilde[i][j]
-    for i in range(m):
-        for j in range(n):
-            coeff = [0] * len(pairs)
-            for kk in range(m):
-                if kk == i:
-                    continue
-                c = btilde[kk][j]
-                if not c:
-                    continue
-                if i > kk:
-                    coeff[index[(i, kk)]] += c
-                else:
-                    coeff[index[(kk, i)]] -= c
-            rows.append(coeff)
-            rhs.append(-(1 if i == j else 0))
-    x0, kernel = _integer_solve(rows, rhs, len(pairs))
-    if len(kernel) <= 4:
-        x0 = _lex_min(x0, kernel)
-    lam = [[0] * m for _ in range(m)]
-    for (i, j), t in index.items():
-        lam[i][j] = x0[t]
-        lam[j][i] = -x0[t]
-    lam = tuple(tuple(r) for r in lam)
-    check_compatible(lam, btilde)
-    return lam
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if m != 2 * n or tuple(map(tuple, btilde[n:])) != ident:
+        raise CompatibilityError("btilde is not a standard framing; pass lam")
+    zero = (0,) * n
+    return (tuple(zero + tuple(-x for x in row) for row in ident)
+            + tuple(row + tuple(-x for x in brow)
+                    for row, brow in zip(ident, btilde)))
 
 
 class ClusterModel:

@@ -5,7 +5,7 @@ from qcluster import rep as R
 from qcluster.ccmap import generic_variable
 from qcluster.hall import dim_vectors_upto
 from qcluster.modp import Budget
-from qcluster.quiver import check_compatible
+from qcluster.quiver import check_compatible, solve_lambda
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)
@@ -13,6 +13,18 @@ def test_models_compatible_with_unit_diagonal(name):
     model = catalog.get(name).model
     assert check_compatible(model.lam, model.exch.btilde) == (1,) * model.n
     assert model.d == (1,) * model.n
+
+
+# a bare entry has no frozen vertices, so it always names its own skew form
+@pytest.mark.parametrize("name", [name for name in catalog.NAMES
+                                  if catalog.get(name).framed.n < catalog.get(name).framed.m])
+def test_standard_framings_pass_lam_only_when_it_differs(name):
+    """A standard-framed entry names its own skew form only where that form
+    is not solve_lambda's closed form."""
+    entry = catalog.get(name)
+    own = entry._lam
+    assert own is None or own != solve_lambda(entry.model.exch.btilde)
+    assert (own is not None) == (name in ("atilde22", "atilde31", "dtilde4"))
 
 
 @pytest.mark.parametrize("name", ["atilde21", "atilde12", "atilde22", "atilde31",

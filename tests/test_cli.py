@@ -176,6 +176,18 @@ def test_malformed_rep_file_exits_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [["ccmap", "--formal"], ["ccmap"],
+                                   ["grass", "--e", "0,0"]])
+def test_family_with_a_negative_dimension_exits_2(tmp_path, capsys, extra):
+    path = tmp_path / "neg.family"
+    path.write_text("family quiver=kronecker\ndims -1 1\nmat 2 1\nmat 2 1\n")
+    rc = run_cli(extra[0], "--quiver", "kronecker", "--rep", str(path), *extra[1:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "bad dimension vector (-1, 1)" in captured.err
+
+
 @pytest.mark.parametrize("command, extra", [("grass", ["--e", "1,0"]), ("ccmap", [])])
 def test_rep_naming_a_directory_exits_2(capsys, command, extra):
     rc = run_cli(command, "--quiver", "a2", "--rep", os.path.join(FIX, "a2"), *extra)

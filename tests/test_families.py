@@ -7,7 +7,7 @@ from qcluster.families import (InterpolationError, RepFamily, eval_poly,
                                grassmannian_poly, lagrange_interpolate,
                                poly_to_scalar)
 from qcluster.quiver import IceQuiver
-from qcluster.rep import grassmannian_count
+from qcluster.rep import RepError, grassmannian_count
 from qcluster.scalars import FormalScalar
 
 
@@ -53,7 +53,12 @@ def test_bad_prime_excluded():
 
 def test_family_instantiation_parameter():
     fam = catalog.family_for("kronecker", "r1")
-    rep = fam.instantiate(5, lam=3)
-    assert rep.mats[1] == ((3,),)
-    rep_default = fam.instantiate(5)
-    assert rep_default.mats[1] == ((4,),)  # p - 1
+    for p in (3, 5, 7):
+        assert fam.instantiate(p).mats[1] == ((p - 1,),)  # L is p - 1
+
+
+@pytest.mark.parametrize("dims", [(-1, 1), (1,), (1, 1, 1)])
+def test_family_rejects_a_bad_dimension_vector(dims):
+    q = catalog.get("kronecker").principal
+    with pytest.raises(RepError, match=r"bad dimension vector \(%s" % dims[0]):
+        RepFamily(q, dims, {})

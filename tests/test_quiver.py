@@ -11,10 +11,7 @@ from qcluster.quiver import (
     CompatibilityError,
     ExchangeData,
     IceQuiver,
-    LambdaSolveError,
     QuiverError,
-    _integer_solve,
-    _lex_min,
     check_compatible,
     euler_form_full,
     solve_lambda,
@@ -34,10 +31,9 @@ PAPER_LAM = (
     (0, 1, 2, 0),
 )
 
-# the skew form solve_lambda picks for each catalog quiver; the kernel of the
-# linear system has rank 0, 1 or 3 for a2, a2bare, a3, atilde12, atilde21 and
-# kronecker, and rank 6, 6 and 10 for atilde22, atilde31 and dtilde4, where
-# the raw particular solution is kept
+# the skew form of each catalog model: solve_lambda's closed form for a2, a3,
+# atilde12, atilde21 and kronecker; a2bare, atilde22, atilde31 and dtilde4
+# carry their own form in the catalog
 CATALOG_LAM = {
     "a2": (
         (0, 0, -1, 0),
@@ -108,15 +104,29 @@ CATALOG_LAM = {
     "kronecker": PAPER_LAM,
 }
 
-# the framed quivers of test_solve_lambda_all_framings and the catalog quiver
-# whose skew form each one gets
+# the principal quivers whose standard framings test_solve_lambda_all_framings
+# solves
 FRAMINGS = [
-    (IceQuiver(2, 2, [(2, 1)]), "a2"),
-    (IceQuiver(2, 2, [(2, 1), (2, 1)]), "kronecker"),
-    (IceQuiver(3, 3, [(2, 1), (2, 3)]), "a3"),
-    (IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]), "atilde21"),
-    (IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)]), "atilde22"),
+    IceQuiver(2, 2, [(2, 1)]),
+    IceQuiver(2, 2, [(2, 1), (2, 1)]),
+    IceQuiver(3, 3, [(2, 1), (2, 3)]),
+    IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]),
+    IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)]),
 ]
+
+
+def closed_form(b):
+    """((0, -I), (I, -B)) entry by entry."""
+    n = len(b)
+
+    def entry(i, j):
+        if i < n <= j:
+            return -(j - n == i)
+        if j < n <= i:
+            return int(i - n == j)
+        return -b[i - n][j - n] if i >= n else 0
+
+    return tuple(tuple(entry(i, j) for j in range(2 * n)) for i in range(2 * n))
 
 
 def test_kronecker_golden_matrices():
@@ -197,76 +207,53 @@ def test_check_compatible_rejects_zero():
 
 
 def test_solve_lambda_all_framings():
-    for pr, name in FRAMINGS:
-        fr = standard_framing(pr)
-        ex = ExchangeData(fr)
+    for pr in FRAMINGS:
+        ex = ExchangeData(standard_framing(pr))
         lam = solve_lambda(ex.btilde)
-        assert lam == CATALOG_LAM[name]
+        assert lam == closed_form(ex.b)
         assert check_compatible(lam, ex.btilde) == (1,) * pr.n
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_LAM))
 def test_solve_lambda_pinned_catalog(name):
     assert catalog.NAMES == tuple(sorted(CATALOG_LAM))
-    assert solve_lambda(catalog.get(name).model.exch.btilde) == CATALOG_LAM[name]
-
-
-def lex_key(x):
-    return tuple((abs(v), v < 0) for v in x)
+    assert catalog.get(name).model.lam == CATALOG_LAM[name]
 
 
 @st.composite
-def lattices(draw):
-    """(x0, kernel): x0 in Z^k and at most four kernel vectors, not
-    necessarily independent."""
-    k = draw(st.integers(1, 6))
-    r = draw(st.integers(0, 4))
-    vec = st.lists(st.integers(-4, 4), min_size=k, max_size=k).map(tuple)
-    x0 = draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k).map(tuple))
-    return x0, draw(st.lists(vec, min_size=r, max_size=r))
+def acyclic_quivers(draw):
+    """A principal quiver on at most 5 vertices with arrows (parallel ones
+    too) that point down a random vertex order."""
+    n = draw(st.integers(1, 5))
+    rank = draw(st.permutations(range(1, n + 1)))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(1, n + 1)
+             if rank.index(s) > rank.index(t)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    return IceQuiver(n, n, arrows)
 
 
-def combine(x, coeffs, kernel):
-    return tuple(a + sum(c * v[t] for c, v in zip(coeffs, kernel))
-                 for t, a in enumerate(x))
+@settings(max_examples=100, deadline=None)
+@given(acyclic_quivers(), st.data())
+def test_solve_lambda_is_compatible_on_standard_framings(pr, data):
+    model = ClusterModel(standard_framing(pr))
+    lam, n = model.lam, pr.n
+    assert lam == solve_lambda(model.exch.btilde)
+    assert all(lam[i][j] == -lam[j][i] for i in range(2 * n) for j in range(2 * n))
+    assert check_compatible(lam, model.exch.btilde) == (1,) * n
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    mv, e, f, lv = (data.draw(vec) for _ in range(4))
+    for name, lhs, rhs in verify_lemma_bilinear(model, mv, e, f, lv):
+        assert lhs == rhs, (pr, name, mv, e, f, lv)
 
 
-@settings(max_examples=150, deadline=None)
-@given(lattices(), st.data())
-def test_lex_min_is_canonical_and_locally_optimal(lattice, data):
-    x0, kernel = lattice
-    r = len(kernel)
-    best = _lex_min(x0, kernel)
-    # best - x0 is an integer combination of the kernel vectors
-    rows = [[v[t] for v in kernel] for t in range(len(x0))]
-    try:
-        _integer_solve(rows, [b - a for a, b in zip(x0, best)], r)
-    except LambdaSolveError:
-        pytest.fail("%r is not in %r + span(%r)" % (best, x0, kernel))
-    # a unimodular change of basis and a lattice shift of x0 change nothing
-    basis = [list(v) for v in kernel]
-    for _ in range(data.draw(st.integers(0, 8)) if r else 0):
-        i = data.draw(st.integers(0, r - 1))
-        j = data.draw(st.integers(0, r - 1))
-        op = data.draw(st.sampled_from(["add", "swap", "neg"]))
-        if op == "add" and i != j:
-            f = data.draw(st.integers(-3, 3))
-            basis[i] = [a + f * b for a, b in zip(basis[i], basis[j])]
-        elif op == "swap":
-            basis[i], basis[j] = basis[j], basis[i]
-        elif op == "neg":
-            basis[i] = [-a for a in basis[i]]
-    shift = data.draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
-    assert _lex_min(combine(x0, shift, kernel), basis) == best
-    # no nearby lattice point has a smaller key
-    for coeffs in product(range(-3, 4), repeat=r):
-        assert lex_key(combine(best, coeffs, kernel)) >= lex_key(best)
-
-
-def test_lex_min_tie_takes_the_nonnegative_value():
-    assert _lex_min((1, 0), [(2, 1)]) == (1, 0)
-    assert _lex_min((-1, 0), [(2, 1)]) == (1, 1)
-    assert _lex_min((5, 7), []) == (5, 7)
+@pytest.mark.parametrize("btilde", [
+    catalog.get("a2bare").model.exch.btilde,
+    # the A2 framing without its arrow 2 -> 4
+    ExchangeData(IceQuiver(4, 2, [(2, 1), (1, 3)])).btilde,
+])
+def test_solve_lambda_needs_a_standard_framing(btilde):
+    with pytest.raises(CompatibilityError, match="not a standard framing"):
+        solve_lambda(btilde)
 
 
 def test_euler_form_kronecker():
