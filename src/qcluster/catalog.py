@@ -2,15 +2,17 @@
 the degree-one homogeneous points, and rigid-object search.
 
 All bundled quivers are stored in the orientation module maps act (see
-quiver.py); the tame members carry their non-homogeneous tube bottoms as
-explicit representations, cross-checked by the AR translate in the tests.
+quiver.py).  An entry holds its quiver, the null root delta of a tame one,
+a grading form, and a skew form only where it has no framing.  The
+non-homogeneous tubes are derived from delta when the module is imported,
+and each tube simple is built as the thin module on its tree support.
 """
 
 from __future__ import annotations
 
 import weakref
 from functools import lru_cache, partial
-from itertools import count
+from itertools import count, product
 
 from . import modp
 from . import rep as R
@@ -27,16 +29,18 @@ class CatalogError(KeyError):
 
 
 class CatalogEntry:
-    def __init__(self, name, principal, delta=None, tubes=None, epsilon=None,
-                 nonhomog_count=0, lam=None, bare=False):
+    """A bundled quiver: its principal part, the null root delta of a tame
+    one, a grading form, and a skew form lam only where there is no framing
+    (the exchange matrix then has full rank).  The non-homogeneous tubes are
+    derived from delta."""
+
+    def __init__(self, name, principal, delta=None, epsilon=None, lam=None):
         self.name = name
         self.principal = principal
-        # bare entries have a full-rank exchange matrix and need no framing
-        self.framed = principal if bare else standard_framing(principal)
+        self.framed = principal if lam is not None else standard_framing(principal)
         self.delta = delta
-        self.tubes = tubes or []        # list of lists of principal reps builders
+        self.tubes = _tubes(principal, delta) if delta else []  # lists of dims
         self.epsilon = epsilon          # grading form or None
-        self.nonhomog_count = nonhomog_count
         self._lam = lam
         self._model = None
 
@@ -47,12 +51,58 @@ class CatalogEntry:
         return self._model
 
     def tube_simples(self, p, tube_index):
-        return [build(p) for build in self.tubes[tube_index]]
+        return [_thin_module(self.principal, p, x) for x in self.tubes[tube_index]]
+
+
+def _tubes(q, delta):
+    """The non-homogeneous tubes of a Euclidean quiver, each the list of its
+    regular simples' dimension vectors along tau^-1 (Dlab-Ringel).
+
+    A regular simple of a tube of rank r > 1 has a real root 0 < x < delta
+    of defect <delta, x> = 0 as its vector, and the tau^-1 orbit of x, read
+    off the Coxeter transform, closes after r steps and sums to delta.  The
+    walk stops where it leaves those candidates, so a wrong delta cannot
+    run it on.  Each tube starts at its member least by (sum(x), x[::-1]),
+    and the tubes are in the order their members first appear in the box.
+    Raises CatalogError unless the ranks satisfy sum(r - 1) = n - 2.
+    """
+    cands = [x for x in product(*(range(d + 1) for d in delta))
+             if any(x) and x != delta and euler_form_full(q, x, x) == 1
+             and euler_form_full(q, delta, x) == 0]
+    left, qop, tubes = set(cands), q.op(), []
+    for x in cands:
+        orbit, y = [], x
+        while y in left:
+            left.remove(y)
+            orbit.append(y)
+            y = R.coxeter_transform(qop, y)
+        if y == x and tuple(map(sum, zip(*orbit))) == delta:
+            k = orbit.index(min(orbit, key=lambda v: (sum(v), v[::-1])))
+            tubes.append(orbit[k:] + orbit[:k])
+    if sum(len(tube) - 1 for tube in tubes) != q.n - 2:
+        raise CatalogError("delta=%s gives tubes %s, not those of a Euclidean "
+                           "quiver on %d vertices" % (delta, tubes, q.n))
+    return tubes
+
+
+def _thin_module(q, p, dims):
+    """The indecomposable of a 0/1 vector whose support spans a tree: F_p at
+    each vertex of the support and the identity on every arrow inside it."""
+    support = {v for v, d in enumerate(dims, 1) if d}
+    inside = [(s, t) for s, t in q.arrows if s in support and t in support]
+    reached, todo = set(), [min(support)] if support else []
+    while todo:
+        v = todo.pop()
+        reached.add(v)
+        todo += [w for a in inside if v in a for w in a if w not in reached]
+    if set(dims) - {0, 1} or reached != support or len(inside) != len(support) - 1:
+        raise CatalogError("%s is not a 0/1 vector on a tree" % (dims,))
+    return R.from_dict(q, p, dict.fromkeys(support, 1), dict.fromkeys(inside, ((1,),)))
 
 
 def kron_regular(p, lam, n=1):
     """Regular indecomposable of dimension (n, n) over the parameter lam."""
-    q = _kronecker_principal()
+    q = get("kronecker").principal
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     if lam == "inf":
         nilp = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
@@ -62,114 +112,27 @@ def kron_regular(p, lam, n=1):
     return R.from_dict(q, p, {1: n, 2: n}, {(2, 1, 0): ident, (2, 1, 1): jord})
 
 
-@lru_cache(maxsize=None)
-def _kronecker_principal():
-    return IceQuiver(2, 2, [(2, 1), (2, 1)])
-
-
 def _build_entries():
-    entries = {}
-
-    kron = _kronecker_principal()
-    entries["kronecker"] = CatalogEntry(
-        "kronecker", kron, delta=(1, 1), tubes=[], epsilon=(-1, 1),
-        nonhomog_count=0)
-
     a2 = IceQuiver(2, 2, [(2, 1)])
-    entries["a2"] = CatalogEntry("a2", a2, epsilon=(-1, 1))
-    # the same quiver with its own full-rank exchange matrix, no coefficients
-    entries["a2bare"] = CatalogEntry("a2bare", a2, epsilon=(-1, 1),
-                                     lam=((0, 1), (-1, 0)), bare=True)
-
-    a3 = IceQuiver(3, 3, [(2, 1), (2, 3)])
-    entries["a3"] = CatalogEntry("a3", a3, epsilon=(-1, 1, -1))
-
-    at21 = IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)])
-    entries["atilde21"] = CatalogEntry(
-        "atilde21", at21, delta=(1, 1, 1),
-        tubes=[[
-            lambda p: R.simple(at21, p, 2),
-            lambda p: R.from_dict(at21, p, {1: 1, 3: 1}, {(3, 1): ((1,),)}),
-        ]],
-        epsilon=(-3, 1, 2), nonhomog_count=1)
-
-    at12 = IceQuiver(3, 3, [(2, 1), (3, 1), (2, 3)])
-    entries["atilde12"] = CatalogEntry(
-        "atilde12", at12, delta=(1, 1, 1),
-        tubes=[[
-            lambda p: R.simple(at12, p, 3),
-            lambda p: R.from_dict(at12, p, {1: 1, 2: 1}, {(2, 1): ((1,),)}),
-        ]],
-        epsilon=(-2, 1, 1), nonhomog_count=1)
-
-    at31 = IceQuiver(4, 4, [(2, 1), (3, 2), (4, 3), (4, 1)])
-    entries["atilde31"] = CatalogEntry(
-        "atilde31", at31, delta=(1, 1, 1, 1),
-        tubes=[[
-            lambda p: R.simple(at31, p, 2),
-            lambda p: R.simple(at31, p, 3),
-            lambda p: R.from_dict(at31, p, {1: 1, 4: 1}, {(4, 1): ((1,),)}),
-        ]],
-        epsilon=(-3, 1, 2, 3), nonhomog_count=1,
-        # pinned verify outputs were computed with this form, not solve_lambda's
-        lam=((0, 1, 0, 1, 1, 0, 0, 0),
-             (-1, 0, 1, 0, 0, 1, 0, 0),
-             (0, -1, 0, 0, -1, 0, 0, 0),
-             (-1, 0, 0, 0, 0, 1, 0, 0),
-             (-1, 0, 1, 0, 0, 2, 0, 0),
-             (0, -1, 0, -1, -2, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0)))
-
-    at22 = IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)])
-    entries["atilde22"] = CatalogEntry(
-        "atilde22", at22, delta=(1, 1, 1, 1),
-        tubes=[
-            [
-                lambda p: R.simple(at22, p, 4),
-                lambda p: R.from_dict(at22, p, {1: 1, 2: 1, 3: 1},
-                                      {(2, 1): ((1,),), (3, 2): ((1,),)}),
-            ],
-            [
-                lambda p: R.simple(at22, p, 2),
-                lambda p: R.from_dict(at22, p, {1: 1, 3: 1, 4: 1},
-                                      {(4, 1): ((1,),), (3, 4): ((1,),)}),
-            ],
-        ],
-        epsilon=None, nonhomog_count=2,
-        # pinned verify outputs were computed with this form, not solve_lambda's
-        lam=((0, -1, 0, 1, -1, 0, 0, 0),
-             (1, 0, 1, 0, 0, -1, 0, 0),
-             (0, -1, 0, 0, -1, 0, 0, 0),
-             (-1, 0, 0, 0, 0, 1, 0, 0),
-             (1, 0, 1, 0, 0, 0, 0, 0),
-             (0, 1, 0, -1, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0)))
-
-    dt4 = IceQuiver(5, 5, [(1, 3), (2, 3), (3, 4), (3, 5)])
-    entries["dtilde4"] = CatalogEntry(
-        "dtilde4", dt4, delta=(1, 1, 2, 1, 1),
-        tubes=[[
-            lambda p: R.simple(dt4, p, 3),
-            lambda p: R.from_dict(dt4, p, {v: 1 for v in range(1, 6)},
-                                  {(1, 3): ((1,),), (2, 3): ((1,),),
-                                   (3, 4): ((1,),), (3, 5): ((1,),)}),
-        ]],
-        epsilon=None, nonhomog_count=3,
-        # pinned verify outputs were computed with this form, not solve_lambda's
-        lam=((0, 0, 0, 0, 0, -1, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, -1, 0, 0, 0),
-             (0, 0, 0, 0, -1, 0, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0, -1, 0),
-             (0, 0, 1, 0, 0, -1, -1, 0, 1, 0),
-             (1, 0, 0, 0, 1, 0, 0, 0, 0, 0),
-             (0, 1, 0, 0, 1, 0, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-             (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
-             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
-
-    return entries
+    entries = [
+        CatalogEntry("kronecker", IceQuiver(2, 2, [(2, 1), (2, 1)]), delta=(1, 1),
+                     epsilon=(-1, 1)),
+        CatalogEntry("a2", a2, epsilon=(-1, 1)),
+        # the same quiver with its own full-rank exchange matrix, no coefficients
+        CatalogEntry("a2bare", a2, epsilon=(-1, 1), lam=((0, 1), (-1, 0))),
+        CatalogEntry("a3", IceQuiver(3, 3, [(2, 1), (2, 3)]), epsilon=(-1, 1, -1)),
+        CatalogEntry("atilde21", IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]),
+                     delta=(1, 1, 1), epsilon=(-3, 1, 2)),
+        CatalogEntry("atilde12", IceQuiver(3, 3, [(2, 1), (3, 1), (2, 3)]),
+                     delta=(1, 1, 1), epsilon=(-2, 1, 1)),
+        CatalogEntry("atilde31", IceQuiver(4, 4, [(2, 1), (3, 2), (4, 3), (4, 1)]),
+                     delta=(1, 1, 1, 1), epsilon=(-3, 1, 2, 3)),
+        CatalogEntry("atilde22", IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)]),
+                     delta=(1, 1, 1, 1)),
+        CatalogEntry("dtilde4", IceQuiver(5, 5, [(1, 3), (2, 3), (3, 4), (3, 5)]),
+                     delta=(1, 1, 2, 1, 1)),
+    ]
+    return {entry.name: entry for entry in entries}
 
 
 ENTRIES = _build_entries()
@@ -204,7 +167,7 @@ def homogeneous_points(name: str, p: int):
     if "homogeneous_points" not in store.derived:
         store.derived["homogeneous_points"] = tuple(
             M for M in store.iso_classes(entry.delta)
-            if R.is_indecomposable(M) and R.hom_dim(M, M) == 1
+            if R.hom_dim(M, M) == 1
             and R.iso_test(R.tau(M), M))
     return store.derived["homogeneous_points"]
 
@@ -294,7 +257,7 @@ def rigid_indecomposables(name: str, p: int, bound_vec):
     for t, tube in enumerate(entry.tubes):
         for length in range(1, len(tube)):
             walk(("tube", t, length),
-                 lambda: tuple(map(sum, zip(*(build(p).dims for build in tube[:length])))),
+                 lambda: tuple(map(sum, zip(*tube[:length]))),
                  partial(tube_module, name, p, t, 1, length), R.tau, q, len(tube))
     return list(found.values())
 

@@ -359,9 +359,11 @@ def build_parser():
                     "ice quivers: the quantum Caldero-Chapoton map, seed "
                     "mutation, and mechanical verification of the "
                     "multiplication and basis identities.")
-    ap.add_argument("--budget-subspaces", type=at_least(0), default=10_000_000)
-    ap.add_argument("--budget-orbits", type=at_least(0), default=2_000_000)
-    ap.add_argument("--budget-homs", type=at_least(0), default=2_000_000)
+    limits = Budget().limits
+    ap.add_argument("--budget-subspaces", type=at_least(0),
+                    default=limits["subspace_tuples"])
+    ap.add_argument("--budget-orbits", type=at_least(0), default=limits["matrix_tuples"])
+    ap.add_argument("--budget-homs", type=at_least(0), default=limits["hom_elements"])
     ap.add_argument("--jobs", type=at_least(1), default=1,
                     help="worker processes for independent verify units")
     sub = ap.add_subparsers(dest="command", required=True)

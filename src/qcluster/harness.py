@@ -552,12 +552,11 @@ def verify_homogeneous_sum(name: str, p: int) -> VerifyReport:
                             detail="ext(I, P_e) = %d != 2" % store.ext(icand, pe))
     homog = {store.classify(h) for h in catalog.homogeneous_points(name, p)}
     tubes_full = set()
-    for t in range(len(entry.tubes)):
-        rank = len(entry.tube_simples(p, t))
+    for t, tube in enumerate(entry.tubes):
         for i in (1, 2):
-            tubes_full.add(store.classify(catalog.tube_module(name, p, t, i, rank)))
+            tubes_full.add(store.classify(catalog.tube_module(name, p, t, i, len(tube))))
     split = store.classify(R.direct_sum(pe, icand))
-    t_count = entry.nonhomog_count
+    t_count = len(entry.tubes)
     if len(homog) != p + 1 - t_count:
         return VerifyReport("thm5.3", inputs, verdict="fail",
                             detail="homogeneous point count %d != %d"
@@ -994,7 +993,7 @@ def verify_parameter_independence(name: str, p: int) -> VerifyReport:
     pts = catalog.homogeneous_points(name, p)
     vals = [cc_map(ClusterObject(h), model, p) for h in pts]
     ok = all(v == vals[0] for v in vals)
-    expected = p + 1 - entry.nonhomog_count
+    expected = p + 1 - len(entry.tubes)
     detail = "%d points (expected %d)" % (len(pts), expected)
     if len(pts) != expected:
         ok = False

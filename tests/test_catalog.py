@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qcluster import catalog
@@ -15,16 +17,15 @@ def test_models_compatible_with_unit_diagonal(name):
     assert model.d == (1,) * model.n
 
 
-# a bare entry has no frozen vertices, so it always names its own skew form
+# an entry without frozen vertices (a2bare) names its own skew form
 @pytest.mark.parametrize("name", [name for name in catalog.NAMES
                                   if catalog.get(name).framed.n < catalog.get(name).framed.m])
 def test_standard_framings_pass_lam_only_when_it_differs(name):
-    """A standard-framed entry names its own skew form only where that form
-    is not solve_lambda's closed form."""
+    """No standard-framed entry names a skew form: each takes solve_lambda's
+    closed form."""
     entry = catalog.get(name)
-    own = entry._lam
-    assert own is None or own != solve_lambda(entry.model.exch.btilde)
-    assert (own is not None) == (name in ("atilde22", "atilde31", "dtilde4"))
+    assert entry._lam is None
+    assert entry.model.lam == solve_lambda(entry.model.exch.btilde)
 
 
 @pytest.mark.parametrize("name", ["atilde21", "atilde12", "atilde22", "atilde31",
@@ -36,7 +37,49 @@ def test_tube_translate_cyclic(name):
         simples = entry.tube_simples(p, t)
         r = len(simples)
         for i, s in enumerate(simples):
+            assert R.is_rigid(s)
             assert R.iso_test(R.tau(s), simples[(i - 1) % r])
+
+
+# the regular simples of each non-homogeneous tube along tau^-1, as derived
+# from delta (Dlab-Ringel): sum(rank - 1) = n - 2 on each quiver
+DERIVED_TUBES = {
+    "kronecker": [],
+    "atilde21": [[(0, 1, 0), (1, 0, 1)]],
+    "atilde12": [[(0, 0, 1), (1, 1, 0)]],
+    "atilde22": [[(0, 0, 0, 1), (1, 1, 1, 0)], [(0, 1, 0, 0), (1, 0, 1, 1)]],
+    "atilde31": [[(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1)]],
+    "dtilde4": [[(0, 0, 1, 0, 0), (1, 1, 1, 1, 1)],
+                [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1)],
+                [(0, 1, 1, 1, 0), (1, 0, 1, 0, 1)]],
+}
+
+
+def test_derived_tubes_are_pinned():
+    assert {name: catalog.get(name).tubes for name in catalog.NAMES
+            if catalog.get(name).delta is not None} == DERIVED_TUBES
+
+
+@pytest.mark.parametrize("delta", [(2, 2, 2), (1, 1, 0), (1, 0, 1)])
+def test_tubes_reject_a_delta_that_is_not_the_null_root(delta):
+    q = catalog.get("atilde21").principal
+    start = time.perf_counter()
+    with pytest.raises(catalog.CatalogError, match="not those of a Euclidean"):
+        catalog._tubes(q, delta)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name, dims", [
+    ("atilde21", (0, 2, 0)),            # not a 0/1 vector
+    ("atilde21", (1, 1, 1)),            # the support spans a cycle
+    ("kronecker", (1, 1)),              # two parallel arrows
+    ("dtilde4", (1, 1, 0, 1, 1)),       # the support is not connected
+    ("a2", (0, 0)),                     # empty support
+])
+def test_thin_module_needs_a_tree(name, dims):
+    with pytest.raises(catalog.CatalogError, match="not a 0/1 vector on a tree"):
+        catalog._thin_module(catalog.get(name).principal, 3, dims)
+
 
 
 def test_tube_simple_dims_sum_to_delta():
@@ -140,10 +183,6 @@ def _enumerated_rigid_indecomposables(name, p, bound):
     return out
 
 
-# the missing tubes of dtilde4 hold these regular simples
-DTILDE4_UNLISTED = {(1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 1, 0)}
-
-
 @pytest.mark.parametrize("name, bound, count", [
     ("a2", (2, 2), 3),
     ("a3", (1, 2, 1), 6),
@@ -153,8 +192,8 @@ DTILDE4_UNLISTED = {(1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1,
     ("atilde31", (1, 2, 2, 1), 12),
     # orbits whose vectors do not grow at every step: P_1 = (1, 0, 1, 1, 1)
     # exceeds the second bound, but tau^-1 P_1 = (0, 1, 2, 1, 1) fits it
-    ("dtilde4", (1, 1, 2, 1, 1), 20),
-    ("dtilde4", (0, 1, 2, 1, 1), 10),
+    ("dtilde4", (1, 1, 2, 1, 1), 24),
+    ("dtilde4", (0, 1, 2, 1, 1), 12),
 ])
 @pytest.mark.parametrize("p", [2, 3])
 def test_constructed_rigid_indecomposables_match_enumeration(name, bound, count, p):
@@ -164,8 +203,7 @@ def test_constructed_rigid_indecomposables_match_enumeration(name, bound, count,
     by_dims = {M.dims: M for M in built}
     assert len(by_dims) == len(built) == count
     assert all(len(classes) == 1 for classes in ref.values())
-    unlisted = DTILDE4_UNLISTED if name == "dtilde4" else set()
-    assert set(by_dims) == set(ref) - unlisted
+    assert set(by_dims) == set(ref)
     assert all(R.iso_test(M, ref[dims][0]) for dims, M in by_dims.items())
 
 

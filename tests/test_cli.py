@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from qcluster import catalog, cli, harness
+from qcluster.modp import Budget
 
 FIX = cli.FIXTURE_ROOT
 
@@ -46,6 +47,11 @@ def test_usage_error(capsys):
     rc = run_cli("ccmap", "--quiver", "nosuch", "--rep", "r1.rep")
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_budget_option_defaults_are_the_budget_defaults():
+    args = cli.build_parser().parse_args(["verify", "lem5.4"])
+    assert cli.budget_limits(args) == Budget().limits
 
 
 def test_budget_exit(capsys):
@@ -89,10 +95,10 @@ def test_prop45_enumerates_nothing(capsys, jobs, statement):
 
 
 def test_budget_exit_does_not_depend_on_jobs(capsys):
-    # the atilde21 unit of basis needs 19 hom elements, the kronecker one 9
+    # the atilde21 unit of basis needs 7 hom elements, the kronecker one 4
     seen = []
     for jobs in ("1", "2"):
-        rc = run_cli("--budget-homs", "15", "--jobs", jobs, "verify", "basis", "--json")
+        rc = run_cli("--budget-homs", "5", "--jobs", jobs, "verify", "basis", "--json")
         captured = capsys.readouterr()
         seen.append((rc, captured.out, captured.err))
     assert seen[0] == seen[1]

@@ -80,15 +80,14 @@ def test_conjecture_object_form_passes():
 
 
 # thm5.3 at p = 3 on each tame quiver: verdict, detail and the SHA-256 prefix
-# of "lhs|rhs"; dtilde4 lists one of its three rank-2 tubes, so an extension
-# lands in a class the check does not expect
+# of "lhs|rhs"; t is the number of non-homogeneous tubes derived from delta
 HOMOGENEOUS_SUM_PINS = [
     ("kronecker", "pass", "grouped counts ok; t=0", "fc1fba2852896c57"),
     ("atilde21", "pass", "grouped counts ok; t=1", "004c8156b4d88cf6"),
     ("atilde12", "pass", "grouped counts ok; t=1", "3aff6d7ee9d2411a"),
-    ("atilde22", "pass", "grouped counts ok; t=2", "208279f6845bc793"),
-    ("atilde31", "pass", "grouped counts ok; t=1", "9081b519abe7af04"),
-    ("dtilde4", "fail", "unexpected middle class with count 2", "cbe5cfdf7c2118a9"),
+    ("atilde22", "pass", "grouped counts ok; t=2", "23ea3e3cfb28a08f"),
+    ("atilde31", "pass", "grouped counts ok; t=1", "50d8b74e59a3bf4b"),
+    ("dtilde4", "pass", "grouped counts ok; t=3", "f627ad269cc0c152"),
 ]
 
 

@@ -31,9 +31,8 @@ PAPER_LAM = (
     (0, 1, 2, 0),
 )
 
-# the skew form of each catalog model: solve_lambda's closed form for a2, a3,
-# atilde12, atilde21 and kronecker; a2bare, atilde22, atilde31 and dtilde4
-# carry their own form in the catalog
+# the skew form of each catalog model: solve_lambda's closed form on every
+# standard framing; a2bare, which has no framing, carries its own form
 CATALOG_LAM = {
     "a2": (
         (0, 0, -1, 0),
@@ -70,36 +69,36 @@ CATALOG_LAM = {
         (0, 0, 1, 1, 1, 0),
     ),
     "atilde22": (
-        (0, -1, 0, 1, -1, 0, 0, 0),
-        (1, 0, 1, 0, 0, -1, 0, 0),
-        (0, -1, 0, 0, -1, 0, 0, 0),
-        (-1, 0, 0, 0, 0, 1, 0, 0),
-        (1, 0, 1, 0, 0, 0, 0, 0),
-        (0, 1, 0, -1, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, -1, 0, 0, 0),
+        (0, 0, 0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 0, 0, 0, -1),
+        (1, 0, 0, 0, 0, -1, 0, -1),
+        (0, 1, 0, 0, 1, 0, -1, 0),
+        (0, 0, 1, 0, 0, 1, 0, 1),
+        (0, 0, 0, 1, 1, 0, -1, 0),
     ),
     "atilde31": (
-        (0, 1, 0, 1, 1, 0, 0, 0),
-        (-1, 0, 1, 0, 0, 1, 0, 0),
-        (0, -1, 0, 0, -1, 0, 0, 0),
-        (-1, 0, 0, 0, 0, 1, 0, 0),
-        (-1, 0, 1, 0, 0, 2, 0, 0),
-        (0, -1, 0, -1, -2, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, -1, 0, 0, 0),
+        (0, 0, 0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 0, 0, 0, -1),
+        (1, 0, 0, 0, 0, -1, 0, -1),
+        (0, 1, 0, 0, 1, 0, -1, 0),
+        (0, 0, 1, 0, 0, 1, 0, -1),
+        (0, 0, 0, 1, 1, 0, 1, 0),
     ),
     "dtilde4": (
         (0, 0, 0, 0, 0, -1, 0, 0, 0, 0),
         (0, 0, 0, 0, 0, 0, -1, 0, 0, 0),
-        (0, 0, 0, 0, -1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, -1, 0, 0),
         (0, 0, 0, 0, 0, 0, 0, 0, -1, 0),
-        (0, 0, 1, 0, 0, -1, -1, 0, 1, 0),
-        (1, 0, 0, 0, 1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 1, 0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-        (0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, -1),
+        (1, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0, 0, 0, 1, 0, 0),
+        (0, 0, 1, 0, 0, -1, -1, 0, 1, 1),
+        (0, 0, 0, 1, 0, 0, 0, -1, 0, 0),
+        (0, 0, 0, 0, 1, 0, 0, -1, 0, 0),
     ),
     "kronecker": PAPER_LAM,
 }

@@ -22,13 +22,13 @@ from qcluster.seeds import standard_monomial
     ("green", "92b3e4e2cfa70a03287341166a316eec5d414c3c2d1413d40d7b786730950f92"),
     ("thm3.5", "b4facd42dcd84ef6c4798b0c58f188c0879bac29f2379648e4f6bec4d3b4b773"),
     ("thm3.8", "390bc02dce0501baefd8fea5ab8887df97074ead98aea69a1b6b6c69da884132"),
-    ("lem5.2", "a04f795acf42197e409f7f8c65d2fcc98c263e471dc771772878eeea981e9ba2"),
+    ("lem5.2", "fb1f649664d94fad25e234c0b3685012c6a25e51f160ff9555fe992dda2d9dda"),
     ("lem5.4", "61ac6bd3afcf1ca34dd183b70d7afd84ba2a1dc2e352418366447962e2b054be"),
     ("prop4.3", "14925fbc0cad3827435901668c68e11e06b21a0c59aae9fc432f9c268c46cb10"),
     ("prop4.5", "bcc13b3d6984ac4af6c49c7828006131b2ab4ec08aa72ab15afffe2208c18e35"),
     ("prop6.1", "c8c905a177a19902ff7c54992bce90849235ea0d5ce174c778bd250c2f35de79"),
     ("prop6.2", "edaf560a803d9cf7a89cf24111519a65c5563c7ebd49ae63a8968ede8e325761"),
-    ("conj6.4", "55ae4e22a94e8361d9ce2dfd101662f9748fa82060f3f425de2f27c54edf69c9"),
+    ("conj6.4", "09f237dd08010202d7ce60eb3379af4303619073cd80df8415f1a79793737043"),
     ("basis", "8ce7902a58fa63db2425019b1cff037fcb318aaabd7a6f26a472b703908d5f66"),
 ])
 def test_verify_json_output_is_pinned(capsys, statement, digest):
