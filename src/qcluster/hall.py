@@ -96,8 +96,20 @@ def _block_table(rows, cols, left, right, p):
 class ClassStore:
     """Memoized per-(quiver, p) tables: iso classes, counts, hall numbers.
 
-    Enumerations tick the active ``modp`` meter of the call that runs them.
-    """
+    Enumerations tick the active ``modp`` meter of the call that runs them,
+    and a store lives as long as that meter (``catalog.store_for``), so its
+    memos are freed with the unit.  Kept per store: the iso classes, labels
+    and orbit sizes of each dimension vector, |Aut|, hom and ext of each
+    module or pair, the filtration tables, and every ``filtration_count``
+    and Riedtmann-Peng ``ext_count``, keyed by the three modules' keys.
+
+    Labelling the classes of d holds one permutation of the p^entries tuple
+    indices per generator of G_d that moves a block, next to the labels:
+    (generators + 1) * 4 bytes * p^entries.  The permutations are dropped
+    once d is labelled; the labels stay, and the GL generators and block
+    tables they are built from are kept in ``derived``.  The pair sweeps
+    (``harness.hall_pairs``) test indecomposability only on the dimension
+    vectors that can be part of a pair within their bounds."""
 
     def __init__(self, quiver, p):
         self.quiver = quiver
@@ -110,6 +122,8 @@ class ClassStore:
         self._hom: dict[tuple, int] = {}
         self._ext: dict[tuple, int] = {}
         self._filt: dict[tuple, dict] = {}
+        self._filt_count: dict[tuple, int] = {}
+        self._eps: dict[tuple, int] = {}
 
     # -- iso classes ------------------------------------------------------
 
@@ -126,32 +140,58 @@ class ClassStore:
                 out *= self.p ** d - self.p ** i
         return out
 
-    def _orbit_moves(self, dims):
-        """Per generator of G_d, the (weight, p^block size, table) of each
-        arrow block it moves; a tuple's index is sum(block index * weight)."""
+    def _orbit_perms(self, dims):
+        """Per generator of G_d that moves some arrow block, its action on the
+        matrix tuples as a permutation of their base-p indices, in an
+        array('I') of p^entries slots.
+
+        A tuple's index is its arrow blocks' base-p indices side by side, the
+        first arrow's most significant.  The permutation is built up from the
+        last block: each block index j prepends a copy of the permutation of
+        the later blocks, shifted by the image of j times their index range.
+        The GL generators and block tables are memoized on the store."""
         q = self.quiver
         p = self.p
-        sizes = [dims[s - 1] * dims[t - 1] for s, t in q.arrows]
-        weights = []
-        rest = sum(sizes)
-        for size in sizes:
-            rest -= size
-            weights.append(p ** rest)
-        moves = []
+        gl = self.derived.setdefault("gl_generators", {})
+        tables = self.derived.setdefault("block_tables", {})
+
+        def block_table(rows, cols, left, right):
+            key = (rows, cols, left, right)
+            if key not in tables:
+                tables[key] = _block_table(rows, cols, left, right, p)
+            return tables[key]
+
+        perms = []
         for v in range(1, q.m + 1):
-            for g, g_inv in _gl_generators(dims[v - 1], p):
-                acts = []
-                for (s, t), size, weight in zip(q.arrows, sizes, weights):
-                    if size and t == v:
-                        table = _block_table(dims[t - 1], dims[s - 1], g, None, p)
-                    elif size and s == v:
-                        table = _block_table(dims[t - 1], dims[s - 1], None, g_inv, p)
-                    else:
+            if dims[v - 1] not in gl:
+                gl[dims[v - 1]] = _gl_generators(dims[v - 1], p)
+            for g, g_inv in gl[dims[v - 1]]:
+                blocks = []   # (p^block size, table or None for the identity)
+                for s, t in q.arrows:
+                    rows, cols = dims[t - 1], dims[s - 1]
+                    table = None
+                    if rows * cols and t == v:
+                        table = block_table(rows, cols, g, None)
+                    elif rows * cols and s == v:
+                        table = block_table(rows, cols, None, g_inv)
+                    blocks.append((p ** (rows * cols), table))
+                if all(table is None for _, table in blocks):
+                    continue
+                perm = None   # the identity on the first `span` indices
+                span = 1
+                for radix, table in reversed(blocks):
+                    if table is None and perm is None:
+                        span *= radix
                         continue
-                    acts.append((weight, p ** size, table))
-                if acts:
-                    moves.append(acts)
-        return moves
+                    out = array("I")
+                    for j in range(radix):
+                        shift = (j if table is None else table[j]) * span
+                        out.extend(range(shift, shift + span) if perm is None
+                                   else map(shift.__add__, perm))
+                    perm = out
+                    span *= radix
+                perms.append(perm)
+        return perms
 
     def iso_classes(self, dims):
         """Representatives of all iso classes with the given dimension vector,
@@ -161,7 +201,8 @@ class ClassStore:
         position is its base-p index.  An unlabelled tuple is the first of
         its G_d-orbit; it becomes the next representative and its whole
         orbit, closed under the generators of each GL_{d_v}(F_p) acting by
-        M_a -> g_t(a) M_a g_s(a)^-1, gets its label."""
+        M_a -> g_t(a) M_a g_s(a)^-1, gets its label, one lookup in a
+        generator's permutation (_orbit_perms) per move."""
         dims = tuple(dims)
         if dims in self._classes:
             return self._classes[dims]
@@ -174,7 +215,7 @@ class ClassStore:
                 "orbit enumeration over %d matrix entries exceeds the budget "
                 "(%d at p=%d)" % (entries, cap, p))
         shapes = [(dims[t - 1], dims[s - 1]) for s, t in q.arrows]
-        moves = self._orbit_moves(dims)
+        perms = self._orbit_perms(dims)
         labels = array("I", [0]) * p ** entries   # class number + 1; 0 = unseen
         reps = []
         orbits = []
@@ -197,11 +238,8 @@ class ClassStore:
             size = 1
             while stack:
                 cur = stack.pop()
-                for acts in moves:
-                    nxt = cur
-                    for weight, radix, table in acts:
-                        block = cur // weight % radix
-                        nxt += (table[block] - block) * weight
+                for perm in perms:
+                    nxt = perm[cur]
                     if not labels[nxt]:
                         labels[nxt] = label
                         size += 1
@@ -289,23 +327,29 @@ class ClassStore:
 
     def filtration_count(self, M, A, B) -> int:
         """F^M_{A,B}: submodules of M isomorphic to B with quotient A."""
-        if tuple(a + b for a, b in zip(A.dims, B.dims)) != M.dims:
-            return 0
-        table = self.filtration_table(M, B.dims)
-        return table.get((self.classify(A), self.classify(B)), 0)
+        key = (M.key(), A.key(), B.key())
+        if key not in self._filt_count:
+            count = 0
+            if tuple(a + b for a, b in zip(A.dims, B.dims)) == M.dims:
+                table = self.filtration_table(M, B.dims)
+                count = table.get((self.classify(A), self.classify(B)), 0)
+            self._filt_count[key] = count
+        return self._filt_count[key]
 
     def ext_count(self, E, M, N) -> int:
         """eps^E_{M,N} via the Riedtmann-Peng identity (exact division)."""
-        if tuple(m + n for m, n in zip(M.dims, N.dims)) != E.dims:
-            return 0
-        f = self.filtration_count(E, M, N)
-        if f == 0:
-            return 0
-        num = f * self.p ** self.hom(M, N) * self.aut(M) * self.aut(N)
-        aE = self.aut(E)
-        if num % aE:
-            raise R.RepError("Riedtmann-Peng division is not exact")
-        return num // aE
+        key = (E.key(), M.key(), N.key())
+        if key not in self._eps:
+            count = 0
+            f = self.filtration_count(E, M, N)
+            if f:
+                num = f * self.p ** self.hom(M, N) * self.aut(M) * self.aut(N)
+                aE = self.aut(E)
+                if num % aE:
+                    raise R.RepError("Riedtmann-Peng division is not exact")
+                count = num // aE
+            self._eps[key] = count
+        return self._eps[key]
 
     def ext_table(self, M, N) -> dict:
         """{class index in middle_terms(M, N): eps^E_{M,N}} with the zero

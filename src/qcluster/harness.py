@@ -95,26 +95,30 @@ def _sweep_dims(name: str, total=None, bound_vec=None):
                             bound_total=total, bound_vec=bound_vec)
 
 
+def _within(d, e, total=None, bound_vec=None):
+    """Whether d + e is within the sweep bounds."""
+    tot = tuple(a + b for a, b in zip(d, e))
+    return ((total is None or sum(tot) <= total)
+            and (bound_vec is None or all(a <= b for a, b in zip(tot, bound_vec))))
+
+
 def _bounded_pairs(classes, total=None, bound_vec=None):
     """Ordered pairs of the classes whose summed dimension vector is within
     the sweep bounds."""
-    pairs = []
-    for M in classes:
-        for N in classes:
-            tot = tuple(a + b for a, b in zip(M.dims, N.dims))
-            if total is not None and sum(tot) > total:
-                continue
-            if bound_vec is not None and any(a > b for a, b in zip(tot, bound_vec)):
-                continue
-            pairs.append((M, N))
-    return pairs
+    return [(M, N) for M in classes for N in classes
+            if _within(M.dims, N.dims, total, bound_vec)]
 
 
 def hall_pairs(name: str, p: int, total=None, bound_vec=None):
-    """Ordered pairs of indecomposables within the sweep bounds."""
+    """Ordered pairs of indecomposables within the sweep bounds.
+
+    Only a dimension vector d that some e of the box completes within the
+    bounds can carry a member of a pair, so indecomposability is tested on
+    those alone; the pairs are those of every indecomposable of the box."""
     store = catalog.store_for(name, p)
-    indecs = store.indecomposables(_sweep_dims(name, total, bound_vec))
-    return _bounded_pairs(indecs, total, bound_vec)
+    box = _sweep_dims(name, total, bound_vec)
+    pairable = [d for d in box if any(_within(d, e, total, bound_vec) for e in box)]
+    return _bounded_pairs(store.indecomposables(pairable), total, bound_vec)
 
 
 SWEEP_BOUNDS = {"a2": dict(total=4), "a2bare": dict(total=4),

@@ -133,3 +133,30 @@ def test_ext_table_certificates(monkeypatch, doctor):
         match = "0 Ext.1 cocycles against an Euler-form dimension of 1"
     with pytest.raises(R.RepError, match=match):
         store.ext_table(M, M)
+
+
+def rep_of(store, key):
+    """The representation over the store's quiver whose key() is key."""
+    dims, mats = key
+    return R.QuiverRep(store.quiver, store.p, dims, dict(mats))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_memoized_counts_match_a_fresh_store(name, p):
+    """After a thm3.3 unit and a green unit on one class store, every
+    memoized filtration and Riedtmann-Peng count is the one a fresh store
+    computes, and the counts of every green pair add up to |Ext^1|."""
+    harness.STATEMENTS["thm3.3"].unit(name, p, True)
+    harness.STATEMENTS["green"].unit(name, p, True)
+    store = catalog.store_for(name, p)
+    fresh = ClassStore(store.quiver, p)
+    assert any(store._filt_count.values()) and any(store._eps.values())
+    for key, count in store._filt_count.items():
+        assert fresh.filtration_count(*(rep_of(store, k) for k in key)) == count, key
+    for key, count in store._eps.items():
+        assert fresh.ext_count(*(rep_of(store, k) for k in key)) == count, key
+    pairs = harness.hall_pairs(name, p, **harness._pair_bounds(name, False))
+    assert pairs
+    for M, N in pairs:
+        assert store.ext_sum_check(M, N), (M, N)

@@ -8,7 +8,8 @@ import pytest
 from qcluster import catalog, harness
 from qcluster import rep as R
 from qcluster.ccmap import ClusterObject
-from qcluster.hall import dim_vectors_upto
+from qcluster.hall import ClassStore, dim_vectors_upto
+from qcluster.modp import Budget
 
 
 def test_hall_report_contents():
@@ -34,6 +35,34 @@ def test_green_single_instance():
     E = R.nonsplit_middle(s2, s1)
     rep = harness.verify_green("a2", s2, s1, E, store.canonical(R.zero_rep(q, 3)), 3)
     assert rep.verdict == "pass"
+
+
+def every_indecomposable_pair(name, p, total=None, bound_vec=None):
+    """(M.key(), N.key()) of each ordered pair of indecomposables of the box
+    whose summed dimension vector is within the bounds, with every class of
+    the box tested for indecomposability."""
+    store = ClassStore(catalog.get(name).principal, p)
+    indecs = [M for dims in dim_vectors_upto(store.quiver.m, total, bound_vec)
+              for M in store.iso_classes(dims) if R.is_indecomposable(M)]
+    out = []
+    for M in indecs:
+        for N in indecs:
+            tot = [a + b for a, b in zip(M.dims, N.dims)]
+            if total is not None and sum(tot) > total:
+                continue
+            if bound_vec is not None and any(a > b for a, b in zip(tot, bound_vec)):
+                continue
+            out.append((M.key(), N.key()))
+    return out
+
+
+@pytest.mark.parametrize("bounds", ["SWEEP_BOUNDS", "GREEN_BOUNDS"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hall_pairs_are_those_of_every_indecomposable(bounds, p):
+    for name, kw in getattr(harness, bounds).items():
+        with Budget():
+            pairs = [(M.key(), N.key()) for M, N in harness.hall_pairs(name, p, **kw)]
+        assert pairs and pairs == every_indecomposable_pair(name, p, **kw), name
 
 
 def test_onedim_skip_reason():

@@ -226,12 +226,12 @@ def test_block_table_of_zero_entry_shapes(p):
 
 # (subspace_tuples, matrix_tuples, hom_elements) of one all-pairs unit at p = 3
 ENUMERATION_PINS = {
-    ("thm3.3", "a2"): (19, 164, 24),
-    ("thm3.3", "a3"): (47, 474, 67),
-    ("thm3.3", "kronecker"): (136, 6736, 102),
-    ("green", "a2"): (61, 28, 725),
-    ("green", "a3"): (153, 64, 1424),
-    ("green", "kronecker"): (18, 12, 33),
+    ("thm3.3", "a2"): (19, 108, 15),
+    ("thm3.3", "a3"): (47, 360, 34),
+    ("thm3.3", "kronecker"): (136, 6736, 29),
+    ("green", "a2"): (61, 26, 719),
+    ("green", "a3"): (153, 59, 1406),
+    ("green", "kronecker"): (18, 12, 24),
 }
 
 

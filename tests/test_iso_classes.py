@@ -1,16 +1,18 @@
 """Iso-class enumeration by G_d-orbit labelling: the same representatives as
-the brute-force method, the orbit mass formula, and classify by lookup."""
+the brute-force method, the same labels as block arithmetic on the tuple
+indices, the orbit mass formula, and classify by lookup."""
 
 import hashlib
 import random
+from array import array
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from qcluster import catalog, modp
+from qcluster import catalog, hall, harness, modp
 from qcluster import rep as R
-from qcluster.hall import ClassStore, dim_vectors_upto
+from qcluster.hall import ClassStore, _block_table, _gl_generators, dim_vectors_upto
 from qcluster.modp import Budget
 from qcluster.quiver import IceQuiver
 
@@ -158,3 +160,92 @@ def test_matrix_tuples_ticked_once_per_tuple(meter):
     store = fresh_store("kronecker", 3)
     store.iso_classes((2, 2))
     assert meter.used["matrix_tuples"] == 3 ** 8
+
+
+def reference_moves(store, dims):
+    """Per generator of G_d, the (weight, p^block size, table) of each arrow
+    block it moves; a tuple's index is sum(block index * weight)."""
+    q, p = store.quiver, store.p
+    sizes = [dims[s - 1] * dims[t - 1] for s, t in q.arrows]
+    weights = []
+    rest = sum(sizes)
+    for size in sizes:
+        rest -= size
+        weights.append(p ** rest)
+    moves = []
+    for v in range(1, q.m + 1):
+        for g, g_inv in _gl_generators(dims[v - 1], p):
+            acts = []
+            for (s, t), size, weight in zip(q.arrows, sizes, weights):
+                if size and t == v:
+                    table = _block_table(dims[t - 1], dims[s - 1], g, None, p)
+                elif size and s == v:
+                    table = _block_table(dims[t - 1], dims[s - 1], None, g_inv, p)
+                else:
+                    continue
+                acts.append((weight, p ** size, table))
+            if acts:
+                moves.append(acts)
+    return moves
+
+
+def reference_labelling(store, dims):
+    """(representative keys, labels, orbit sizes) of the orbit labelling
+    walk with each move done by block arithmetic on the tuple index, one
+    matrix_tuples tick per tuple."""
+    p = store.p
+    entries = store.matrix_entry_count(dims)
+    shapes = [(dims[t - 1], dims[s - 1]) for s, t in store.quiver.arrows]
+    moves = reference_moves(store, dims)
+    labels = array("I", [0]) * p ** entries
+    keys, orbits = [], []
+    budget = modp.meter()
+    for index, values in enumerate(product(range(p), repeat=entries)):
+        budget.tick("matrix_tuples")
+        if labels[index]:
+            continue
+        mats, pos = {}, 0
+        for idx, (rows, cols) in enumerate(shapes):
+            mats[idx] = [values[pos + i * cols:pos + (i + 1) * cols]
+                         for i in range(rows)]
+            pos += rows * cols
+        keys.append(R.QuiverRep(store.quiver, p, dims, mats).key())
+        labels[index] = label = len(keys)
+        stack, size = [index], 1
+        while stack:
+            cur = stack.pop()
+            for acts in moves:
+                nxt = cur
+                for weight, radix, table in acts:
+                    block = cur // weight % radix
+                    nxt += (table[block] - block) * weight
+                if not labels[nxt]:
+                    labels[nxt] = label
+                    size += 1
+                    stack.append(nxt)
+        orbits.append(size)
+    return keys, labels, orbits
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_labels_match_block_arithmetic(name, p):
+    """Every dimension vector of the all-pairs sweep box within the entry
+    cap: the permutation walk of iso_classes finds the representatives,
+    labels, orbit sizes and matrix_tuples ticks of the reference walk."""
+    store = fresh_store(name, p)
+    cap = hall.MAX_ENTRIES if p <= 3 else hall.MAX_ENTRIES_P5
+    checked = 0
+    for dims in harness._sweep_dims(name, **harness._pair_bounds(name, True)):
+        if store.matrix_entry_count(dims) > cap:
+            continue
+        with Budget() as ref_meter:
+            keys, labels, orbits = reference_labelling(store, dims)
+        with Budget() as meter:
+            reps = store.iso_classes(dims)
+        assert [M.key() for M in reps] == keys, dims
+        assert store._labels[dims] == labels, dims
+        assert [store._orbit[k] for k in keys] == orbits, dims
+        assert meter.used == ref_meter.used, dims
+        checked += 1
+    assert checked > 0
