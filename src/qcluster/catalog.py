@@ -2,17 +2,19 @@
 the degree-one homogeneous points, and rigid-object search.
 
 All bundled quivers are stored in the orientation module maps act (see
-quiver.py).  An entry holds its quiver, the null root delta of a tame one,
-a grading form, and a skew form only where it has no framing.  The
-non-homogeneous tubes are derived from delta when the module is imported,
-and each tube simple is built as the thin module on its tree support.
+quiver.py).  An entry holds its quiver, a grading form, and a skew form
+only where it has no framing.  Its Coxeter period, the null root delta of
+a tame one and the non-homogeneous tubes are derived when the module is
+imported, each tube simple is the thin module on its tree support, and the
+homogeneous points are built from Ext^1 cocycles, not enumerated.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache, partial
+from functools import partial
 from itertools import count, product
+from math import gcd
 
 from . import modp
 from . import rep as R
@@ -29,17 +31,17 @@ class CatalogError(KeyError):
 
 
 class CatalogEntry:
-    """A bundled quiver: its principal part, the null root delta of a tame
-    one, a grading form, and a skew form lam only where there is no framing
-    (the exchange matrix then has full rank).  The non-homogeneous tubes are
-    derived from delta."""
+    """A bundled quiver: its principal part, a grading form, and a skew form
+    lam only where there is no framing (the exchange matrix then has full
+    rank).  The Coxeter period, the null root delta of a tame quiver and its
+    non-homogeneous tubes are derived from the quiver."""
 
-    def __init__(self, name, principal, delta=None, epsilon=None, lam=None):
+    def __init__(self, name, principal, epsilon=None, lam=None):
         self.name = name
         self.principal = principal
         self.framed = principal if lam is not None else standard_framing(principal)
-        self.delta = delta
-        self.tubes = _tubes(principal, delta) if delta else []  # lists of dims
+        self.period, self.delta = _coxeter_period(principal)
+        self.tubes = _tubes(principal, self.delta) if self.delta else []  # lists of dims
         self.epsilon = epsilon          # grading form or None
         self._lam = lam
         self._model = None
@@ -52,6 +54,28 @@ class CatalogEntry:
 
     def tube_simples(self, p, tube_index):
         return [_thin_module(self.principal, p, x) for x in self.tubes[tube_index]]
+
+
+def _coxeter_period(q):
+    """(h, delta): the least h >= 1 for which c^h - 1 maps every unit vector
+    onto one line, c the Coxeter transform, and that line's positive
+    primitive vector, None where c^h = 1 (Dynkin).  On a Euclidean quiver
+    the line spans the radical of the Tits form (Dlab-Ringel).  Raises
+    CatalogError unless delta >= 0 and <delta, delta> = 0."""
+    xs = units = [tuple(int(u == v) for u in range(q.m)) for v in range(q.m)]
+    for h in count(1):
+        xs = [R.coxeter_transform(q, x) for x in xs]
+        diffs = [tuple(a - b for a, b in zip(x, u)) for x, u in zip(xs, units)]
+        line = max(diffs, key=any)      # a nonzero difference if there is one
+        if not any(line):
+            return h, None
+        if all(d[i] * line[j] == d[j] * line[i] for d in diffs for i in range(q.m)
+               for j in range(i)):
+            g = gcd(*line) if max(line) > 0 else -gcd(*line)
+            delta = tuple(a // g for a in line)
+            if min(delta) < 0 or euler_form_full(q, delta, delta):
+                raise CatalogError("c^%d - 1 maps onto %s, not a null root" % (h, delta))
+            return h, delta
 
 
 def _tubes(q, delta):
@@ -100,37 +124,20 @@ def _thin_module(q, p, dims):
     return R.from_dict(q, p, dict.fromkeys(support, 1), dict.fromkeys(inside, ((1,),)))
 
 
-def kron_regular(p, lam, n=1):
-    """Regular indecomposable of dimension (n, n) over the parameter lam."""
-    q = get("kronecker").principal
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    if lam == "inf":
-        nilp = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
-        return R.from_dict(q, p, {1: n, 2: n}, {(2, 1, 0): nilp, (2, 1, 1): ident})
-    jord = tuple(tuple((lam % p) if i == j else (1 if j == i + 1 else 0)
-                       for j in range(n)) for i in range(n))
-    return R.from_dict(q, p, {1: n, 2: n}, {(2, 1, 0): ident, (2, 1, 1): jord})
-
-
 def _build_entries():
     a2 = IceQuiver(2, 2, [(2, 1)])
     entries = [
-        CatalogEntry("kronecker", IceQuiver(2, 2, [(2, 1), (2, 1)]), delta=(1, 1),
-                     epsilon=(-1, 1)),
+        CatalogEntry("kronecker", IceQuiver(2, 2, [(2, 1), (2, 1)]), epsilon=(-1, 1)),
         CatalogEntry("a2", a2, epsilon=(-1, 1)),
         # the same quiver with its own full-rank exchange matrix, no coefficients
         CatalogEntry("a2bare", a2, epsilon=(-1, 1), lam=((0, 1), (-1, 0))),
         CatalogEntry("a3", IceQuiver(3, 3, [(2, 1), (2, 3)]), epsilon=(-1, 1, -1)),
-        CatalogEntry("atilde21", IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]),
-                     delta=(1, 1, 1), epsilon=(-3, 1, 2)),
-        CatalogEntry("atilde12", IceQuiver(3, 3, [(2, 1), (3, 1), (2, 3)]),
-                     delta=(1, 1, 1), epsilon=(-2, 1, 1)),
+        CatalogEntry("atilde21", IceQuiver(3, 3, [(2, 1), (3, 2), (3, 1)]), epsilon=(-3, 1, 2)),
+        CatalogEntry("atilde12", IceQuiver(3, 3, [(2, 1), (3, 1), (2, 3)]), epsilon=(-2, 1, 1)),
         CatalogEntry("atilde31", IceQuiver(4, 4, [(2, 1), (3, 2), (4, 3), (4, 1)]),
-                     delta=(1, 1, 1, 1), epsilon=(-3, 1, 2, 3)),
-        CatalogEntry("atilde22", IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)]),
-                     delta=(1, 1, 1, 1)),
-        CatalogEntry("dtilde4", IceQuiver(5, 5, [(1, 3), (2, 3), (3, 4), (3, 5)]),
-                     delta=(1, 1, 2, 1, 1)),
+                     epsilon=(-3, 1, 2, 3)),
+        CatalogEntry("atilde22", IceQuiver(4, 4, [(2, 1), (3, 2), (4, 1), (3, 4)])),
+        CatalogEntry("dtilde4", IceQuiver(5, 5, [(1, 3), (2, 3), (3, 4), (3, 5)])),
     ]
     return {entry.name: entry for entry in entries}
 
@@ -157,18 +164,36 @@ def store_for(name: str, p: int) -> ClassStore:
     return stores[name, p]
 
 
-def homogeneous_points(name: str, p: int):
-    """All iso classes of regular simples of dimension delta that are fixed by
-    the AR translate and have a one-dimensional endomorphism ring."""
+def delta_pair(name: str, p: int):
+    """(P_e, I): the simple projective at the first principal sink e with
+    delta_e = 1 and the rigid module of dimension delta - e_e, or None; on a
+    Euclidean quiver I is preinjective and Ext^1(I, P_e) is 2-dimensional."""
     entry = get(name)
     if entry.delta is None:
         raise ValueError("%s is not tame" % name)
+    q, delta = entry.principal, entry.delta
+    sink = next(v for v in range(1, q.n + 1) if q.is_sink(v) and delta[v - 1] == 1)
+    pe = R.simple(q, p, sink)
+    return pe, find_rigid_module(name, p, tuple(d - x for d, x in zip(delta, pe.dims)))
+
+
+def homogeneous_points(name: str, p: int):
+    """The tau-fixed regular simples of dimension delta with End = F_p: the
+    middle terms of the p + 1 lines of Ext^1(I, P_e) (delta_pair) that tau
+    fixes; the other t lines give the full-rank tube modules (Crawley-Boevey,
+    Lectures on representations of quivers)."""
     store = store_for(name, p)
     if "homogeneous_points" not in store.derived:
+        pe, inj = delta_pair(name, p)
+        basis = () if inj is None else R.ext_basis(inj, pe)
+        if len(basis) != 2:
+            raise R.RepError("%s at p=%d: no rigid I of dimension delta - dim P_e "
+                             "with a 2-dimensional Ext^1(I, P_e)" % (name, p))
+        lines = [basis[1]] + [tuple((a + lam * b) % p for a, b in zip(*basis))
+                              for lam in range(p)]
         store.derived["homogeneous_points"] = tuple(
-            M for M in store.iso_classes(entry.delta)
-            if R.hom_dim(M, M) == 1
-            and R.iso_test(R.tau(M), M))
+            M for M in (R.extension(inj, pe, eta) for eta in lines)
+            if R.iso_test(R.tau(M), M))
     return store.derived["homogeneous_points"]
 
 
@@ -189,22 +214,6 @@ def tube_module(name: str, p: int, tube_index: int, i: int, length: int):
     below = tube_module(name, p, tube_index, i, length - 1)
     top = simples[(i - 1 + length - 1) % r]
     return R.nonsplit_middle(top, below)
-
-
-@lru_cache(maxsize=None)
-def _coxeter_period(name):
-    """The least h >= 1 with c^h x - x in Z delta for every x, for the
-    Coxeter transform c of a Euclidean quiver (c fixes delta and has finite
-    order on Z^n / Z delta, where the Euler form is positive definite)."""
-    q, delta = get(name).principal, get(name).delta
-    units = [tuple(int(u == v) for u in range(q.m)) for v in range(q.m)]
-    xs = units
-    for h in count(1):
-        xs = [R.coxeter_transform(q, x) for x in xs]
-        # delta is primitive, so a rational multiple of it is an integer one
-        if all((a - b) * delta[0] == (x[0] - u[0]) * dv
-               for x, u in zip(xs, units) for a, b, dv in zip(x, u, delta)):
-            return h
 
 
 def rigid_indecomposables(name: str, p: int, bound_vec):
@@ -241,10 +250,8 @@ def rigid_indecomposables(name: str, p: int, bound_vec):
             orbit.append(translate(orbit[-1]) if orbit else first())
         found.update((dims[k], orbit[k]) for k in keep)
 
-    steps = None
-    if entry.delta is not None:
-        steps = _coxeter_period(name) * (
-            1 + min(b // dv for b, dv in zip(bound_vec, entry.delta)))
+    steps = None if entry.delta is None else entry.period * (
+        1 + min(b // dv for b, dv in zip(bound_vec, entry.delta)))
     qop = q.op()
     # on a Dynkin quiver the preinjective orbits are the preprojective ones
     # read backwards, so they add nothing once those are walked

@@ -11,8 +11,8 @@ from typing import Callable, NamedTuple
 
 from . import catalog
 from . import rep as R
-from .ccmap import (ClusterObject, cc_map, cc_map_formal, extended_coreflect,
-                    generic_variable)
+from .ccmap import (ClusterObject, cc_delta, cc_map, cc_map_formal,
+                    extended_coreflect, generic_variable)
 from .hall import dim_vectors_upto
 from .quiver import ClusterModel, ExchangeData, verify_lemma_bilinear
 from .scalars import FORMAL, SpecializedMode
@@ -423,7 +423,7 @@ def verify_kronecker(p: int) -> list[VerifyReport]:
     q = entry.principal
     xs1 = cc_map(ClusterObject(R.simple(q, p, 1)), model, p)
     xs2 = cc_map(ClusterObject(R.simple(q, p, 2)), model, p)
-    xr = cc_map(ClusterObject(catalog.kron_regular(p, 1)), model, p)
+    xr = cc_delta("kronecker", p)
     out = []
     golden = {
         "X_S1": (xs1, [(-1, 0, 1, 0), (-1, 2, 0, 0)]),
@@ -462,6 +462,13 @@ def _tube_difference(name: str, p: int, tube_index: int):
             catalog.homogeneous_points(name, p)[0])
 
 
+def _no_point(statement, inputs, p):
+    """The skip of a difference check on a quiver whose tubes take every line
+    of Ext^1(I, P_e) at this prime (dtilde4 at p = 2)."""
+    return VerifyReport(statement, inputs, verdict="skip",
+                        detail="no degree-one homogeneous point at p=%d" % p)
+
+
 def _difference_sides(name: str, p: int, shift, e1r, e2low, elam):
     """X_{E_1[r]} and X_{E_lambda} + q X_{E_2[r-2]}, the latter in the object
     form, whose second term is shifted at the frozen copy of shift, and in
@@ -488,6 +495,8 @@ def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyRepo
     exchange matrix make the two sides differ by exactly X^(frozen copy).
     """
     statement = "prop6.2" if name.startswith("dtilde") else "prop6.1"
+    if not catalog.homogeneous_points(name, p):
+        return [_no_point(statement, "%s p=%d" % (name, p), p)]
     shift, e1s, e2low, elam = _tube_difference(name, p, tube_index)
     reports = []
     count_ok = True
@@ -520,9 +529,11 @@ def verify_difference(name: str, p: int, tube_index: int = 0) -> list[VerifyRepo
 def check_conjecture(name: str, tube_index: int, p: int) -> list[VerifyReport]:
     """Difference form on an arbitrary tube; reported neutrally, in both the
     frozen-shift object form and the plain module form."""
+    tag = "%s p=%d tube=%d" % (name, p, tube_index)
+    if not catalog.homogeneous_points(name, p):
+        return [_no_point("conj6.4", tag, p)]
     lhs, rhs_object, rhs_plain = _difference_sides(
         name, p, *_tube_difference(name, p, tube_index))
-    tag = "%s p=%d tube=%d" % (name, p, tube_index)
     return [
         _cmp_report("conj6.4", tag + " (object)", lhs, rhs_object, neutral=True),
         _cmp_report("conj6.4", tag + " (module)", lhs, rhs_plain, neutral=True),
@@ -541,13 +552,8 @@ def verify_homogeneous_sum(name: str, p: int) -> VerifyReport:
     entry = catalog.get(name)
     model = entry.model
     store = catalog.store_for(name, p)
-    qp = entry.principal
-    sink = next(v for v in range(1, qp.n + 1)
-                if qp.is_sink(v) and entry.delta[v - 1] == 1)
-    pe = R.simple(qp, p, sink)
-    rest = tuple(d - x for d, x in zip(entry.delta, pe.dims))
-    icand = catalog.find_rigid_module(name, p, rest)
-    inputs = "%s p=%d sink=%d" % (name, p, sink)
+    pe, icand = catalog.delta_pair(name, p)
+    inputs = "%s p=%d sink=%d" % (name, p, pe.dims.index(1) + 1)
     if icand is None or not R.is_indecomposable(icand):
         return VerifyReport("thm5.3", inputs, verdict="fail",
                             detail="no preinjective complement found")

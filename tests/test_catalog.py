@@ -7,7 +7,7 @@ from qcluster import rep as R
 from qcluster.ccmap import generic_variable
 from qcluster.hall import dim_vectors_upto
 from qcluster.modp import Budget
-from qcluster.quiver import check_compatible, solve_lambda
+from qcluster.quiver import IceQuiver, check_compatible, solve_lambda
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)
@@ -110,11 +110,74 @@ def test_dtilde4_single_homogeneous_point():
     assert len(pts) == 3 + 1 - 3
 
 
-def test_kron_regular_dims():
-    for n in (1, 2, 3):
-        assert catalog.kron_regular(5, 2, n).dims == (n, n)
-    inf = catalog.kron_regular(3, "inf")
-    assert R.hom_dim(inf, inf) == 1
+def _enumerated_homogeneous_points(name, p):
+    """The degree-one homogeneous points by enumeration: every iso class of
+    dimension delta with End = F_p that tau fixes."""
+    store = catalog.store_for(name, p)
+    return [M for M in store.iso_classes(catalog.get(name).delta)
+            if R.hom_dim(M, M) == 1 and R.iso_test(R.tau(M), M)]
+
+
+TAME = [name for name in catalog.NAMES if catalog.get(name).delta is not None]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", TAME)
+def test_built_homogeneous_points_match_enumeration(name, p):
+    with Budget():
+        store = catalog.store_for(name, p)
+        built = catalog.homogeneous_points(name, p)
+        ref = _enumerated_homogeneous_points(name, p)
+        assert len(built) == len(ref) == p + 1 - len(catalog.get(name).tubes)
+        assert {store.classify(M) for M in built} == {store.classify(M) for M in ref}
+
+
+def test_homogeneous_points_enumerate_nothing():
+    with Budget(matrix_tuples=0):
+        for name in TAME:
+            assert catalog.homogeneous_points(name, 3)
+
+
+@pytest.mark.parametrize("complement", [None, "zero"])
+def test_homogeneous_points_need_a_two_dimensional_ext(monkeypatch, complement):
+    # no rigid complement I, or one with Ext^1(I, P_e) = 0
+    q = catalog.get("kronecker").principal
+    found = None if complement is None else R.zero_rep(q, 3)
+    monkeypatch.setattr(catalog, "find_rigid_module", lambda name, p, dims: found)
+    with Budget(), pytest.raises(R.RepError, match="2-dimensional Ext"):
+        catalog.homogeneous_points("kronecker", 3)
+
+
+def test_homogeneous_points_need_a_tame_quiver():
+    with pytest.raises(ValueError, match="not tame"):
+        catalog.homogeneous_points("a3", 3)
+
+
+# (Coxeter period, null root) derived from each quiver; a Dynkin quiver has
+# c^h = 1 and no null root
+PERIODS = {
+    "kronecker": (1, (1, 1)),
+    "atilde21": (2, (1, 1, 1)),
+    "atilde12": (2, (1, 1, 1)),
+    "atilde22": (2, (1, 1, 1, 1)),
+    "atilde31": (3, (1, 1, 1, 1)),
+    "dtilde4": (2, (1, 1, 2, 1, 1)),
+    "a2": (3, None),
+    "a2bare": (3, None),
+    "a3": (4, None),
+}
+
+
+def test_period_and_null_root_are_pinned():
+    assert {name: (catalog.get(name).period, catalog.get(name).delta)
+            for name in catalog.NAMES} == PERIODS
+
+
+def test_coxeter_period_rejects_a_line_that_is_not_a_null_root():
+    # on A_1 the Coxeter transform is -1, so c - 1 maps onto the line of
+    # the simple root, whose Tits form is 1
+    with pytest.raises(catalog.CatalogError, match="not a null root"):
+        catalog._coxeter_period(IceQuiver(1, 1, []))
 
 
 def test_tube_module_boundaries():

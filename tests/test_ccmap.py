@@ -31,7 +31,8 @@ def test_kronecker_golden_expansions(kron):
     torus = kron.model.torus(SpecializedMode(3))
     xs1 = cc_map(ClusterObject(R.simple(kron.principal, 3, 1)), kron.model, 3)
     assert xs1 == torus.monomial((-1, 0, 1, 0)) + torus.monomial((-1, 2, 0, 0))
-    xr = cc_map(ClusterObject(catalog.kron_regular(3, 1)), kron.model, 3)
+    point = catalog.homogeneous_points("kronecker", 3)[0]
+    xr = cc_map(ClusterObject(point), kron.model, 3)
     want = (torus.monomial((1, -1, 1, 1)) + torus.monomial((-1, 1, 0, 0))
             + torus.monomial((-1, -1, 1, 0)))
     assert xr == want
@@ -40,8 +41,9 @@ def test_kronecker_golden_expansions(kron):
 def test_exponents_live_in_predicted_span(kron):
     # every exponent is btilde*e - (itilde-rtilde)*m + shift with 0 <= e <= m
     model = kron.model
+    point = catalog.homogeneous_points("kronecker", 3)[0]
     for module, shifts in [
-        (catalog.kron_regular(3, 1, 2), {}),
+        (R.nonsplit_middle(point, point), {}),   # regular of dimension (2, 2)
         (R.simple(kron.principal, 3, 2), {1: 1}),
     ]:
         val = cc_map(ClusterObject(module, shifts), model, 3)
@@ -54,8 +56,8 @@ def test_exponents_live_in_predicted_span(kron):
 
 def test_cc_delta_well_defined(kron):
     xd = cc_delta("kronecker", 3)
-    xr = cc_map(ClusterObject(catalog.kron_regular(3, 1)), kron.model, 3)
-    assert xd == xr
+    for point in catalog.homogeneous_points("kronecker", 3):
+        assert cc_map(ClusterObject(point), kron.model, 3) == xd
 
 
 def test_specialization_commutes():
@@ -68,7 +70,8 @@ def test_specialization_commutes():
 
 
 def test_generic_variable_routes(kron):
-    xr = cc_map(ClusterObject(catalog.kron_regular(3, 1)), kron.model, 3)
+    point = catalog.homogeneous_points("kronecker", 3)[-1]
+    xr = cc_map(ClusterObject(point), kron.model, 3)
     assert generic_variable("kronecker", (1, 1), 3) == xr      # tube route
     assert generic_variable("kronecker", (2, 2), 3) == xr * xr
     e1 = generic_variable("kronecker", (-1, 0), 3)
